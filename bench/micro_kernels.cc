@@ -5,6 +5,11 @@
 // GPU time — useful when deciding bench divisors or optimizing the
 // simulator.
 //
+// Every benchmark whose work runs on thread-pool workers (simulated
+// blocks, the CPU partitioner, session execution) is registered with
+// MeasureProcessCPUTime(): the default clock is the calling thread's CPU
+// time, which does not see work done on the workers.
+//
 //   ./micro_kernels [--benchmark_filter=...]
 
 #include <benchmark/benchmark.h>
@@ -51,7 +56,8 @@ void BM_RadixPartitionFunctional(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
 }
-BENCHMARK(BM_RadixPartitionFunctional)->Arg(1 << 18)->Arg(1 << 21);
+BENCHMARK(BM_RadixPartitionFunctional)->Arg(1 << 18)->Arg(1 << 21)
+    ->MeasureProcessCPUTime();
 
 void BM_PartitionedJoinFunctional(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -68,7 +74,8 @@ void BM_PartitionedJoinFunctional(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2 *
                           static_cast<int64_t>(n));
 }
-BENCHMARK(BM_PartitionedJoinFunctional)->Arg(1 << 18)->Arg(1 << 20);
+BENCHMARK(BM_PartitionedJoinFunctional)->Arg(1 << 18)->Arg(1 << 20)
+    ->MeasureProcessCPUTime();
 
 void BM_NonPartitionedJoinFunctional(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -86,7 +93,8 @@ void BM_NonPartitionedJoinFunctional(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2 *
                           static_cast<int64_t>(n));
 }
-BENCHMARK(BM_NonPartitionedJoinFunctional)->Arg(1 << 18)->Arg(1 << 20);
+BENCHMARK(BM_NonPartitionedJoinFunctional)->Arg(1 << 18)->Arg(1 << 20)
+    ->MeasureProcessCPUTime();
 
 void BM_JoinOracle(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -313,7 +321,8 @@ void BM_SessionSmallBatch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 3 *
                           static_cast<int64_t>(n));
 }
-BENCHMARK(BM_SessionSmallBatch)->Arg(1 << 16);
+BENCHMARK(BM_SessionSmallBatch)->Arg(1 << 16)
+    ->MeasureProcessCPUTime();
 
 void BM_TopologyPlacement(benchmark::State& state) {
   // Multi-GPU session overhead gate: an 8-query shared-build batch
@@ -338,7 +347,8 @@ void BM_TopologyPlacement(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 9 *
                           static_cast<int64_t>(n));
 }
-BENCHMARK(BM_TopologyPlacement)->Arg(1 << 16);
+BENCHMARK(BM_TopologyPlacement)->Arg(1 << 16)
+    ->MeasureProcessCPUTime();
 
 }  // namespace
 

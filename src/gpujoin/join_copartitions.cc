@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "src/util/bits.h"
@@ -55,23 +56,13 @@ struct JoinSharedArea {
   }
 };
 
-/// A block's materialized output, recorded during the body and replayed
-/// onto the shared ring by the launch epilogue: `pairs` holds the packed
-/// result pairs, `claims` the size of every ring reservation the kernel
-/// made, in order. Replaying claims per block in ascending id keeps ring
-/// content and wrap behavior independent of host-worker interleaving.
-struct BlockEmits {
-  std::vector<uint64_t> pairs;
-  std::vector<uint32_t> claims;
-  uint64_t ring_capacity = 0;  ///< Charge footprint of the direct path.
-};
-
 /// Accumulates a block's results and flushes them to the global counters
-/// (and the per-block emission buffer when materializing).
+/// (and the launch's ring staging when materializing).
 struct BlockJoinState {
   uint64_t matches = 0;
   uint64_t checksum = 0;
-  BlockEmits* emits = nullptr;
+  RingEmits* emits = nullptr;
+  uint64_t ring_capacity = 0;  ///< Charge footprint of the direct path.
 
   void Match(sim::Block* block, const CoPartitionJoinConfig& cfg,
              JoinSharedArea* area, uint32_t rpay, uint32_t spay) {
@@ -81,15 +72,13 @@ struct BlockJoinState {
       if (!cfg.buffered_output) {
         // Ablation: direct per-thread write — one global-offset atomic
         // and one uncoalesced transaction per result pair.
-        emits->pairs.push_back((static_cast<uint64_t>(rpay) << 32) | spay);
-        emits->claims.push_back(1);
+        emits->Emit(block->block_id(), OutputRing::Pack(rpay, spay));
         block->ChargeDeviceAtomic(1);
-        block->ChargeRandomAccess(1, 8ull * emits->ring_capacity);
+        block->ChargeRandomAccess(1, 8ull * ring_capacity);
         return;
       }
       // Warp-buffered write: claim a slot in the shared buffer.
-      area->out_stage[area->out_fill++] =
-          (static_cast<uint64_t>(rpay) << 32) | spay;
+      area->out_stage[area->out_fill++] = OutputRing::Pack(rpay, spay);
       block->ChargeShared(8);
       block->ChargeSharedAtomic(1);
       if (area->out_fill == cfg.out_stage_pairs) {
@@ -101,9 +90,7 @@ struct BlockJoinState {
   void FlushOut(sim::Block* block, JoinSharedArea* area) {
     if (area->out_fill == 0) return;
     block->ChargeDeviceAtomic(1);  // global offset
-    emits->pairs.insert(emits->pairs.end(), area->out_stage,
-                        area->out_stage + area->out_fill);
-    emits->claims.push_back(area->out_fill);
+    emits->Emit(block->block_id(), area->out_stage, area->out_fill);
     block->ChargeShared(8ull * area->out_fill);
     block->ChargeCoalescedWrite(8ull * area->out_fill);
     area->out_fill = 0;
@@ -321,27 +308,17 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
   launch.threads_per_block = config.threads_per_block;
   launch.shared_mem_bytes = device->spec().gpu.shared_mem_per_block;
 
-  std::vector<BlockEmits> emits(
-      need_out ? static_cast<size_t>(num_blocks) : 0);
-  std::function<void(sim::Block&)> ring_epilogue;
+  // Materialized output: bodies stage, the epilogue claims ring space in
+  // ascending block id, placement writes the surviving pairs (RingEmits),
+  // so ring content and wrap behavior are canonical regardless of how
+  // the bodies interleaved.
+  std::optional<RingEmits> emits;
+  std::function<void(sim::Block&)> ring_assign;
+  std::function<void(int)> ring_place;
   if (need_out) {
-    ring_epilogue = [&](sim::Block& block) {
-        // Replay this block's ring reservations in recorded order; blocks
-        // replay in ascending id, so ring content and wrap behavior are
-        // canonical regardless of how the bodies interleaved.
-        BlockEmits& e = emits[static_cast<size_t>(block.block_id())];
-        size_t off = 0;
-        for (const uint32_t count : e.claims) {
-          const uint64_t base = out->Claim(count);
-          for (uint32_t i = 0; i < count; ++i) {
-            const uint64_t pair = e.pairs[off + i];
-            out->Write(base + i, static_cast<uint32_t>(pair >> 32),
-                       static_cast<uint32_t>(pair));
-          }
-          off += count;
-        }
-        e = BlockEmits();
-    };
+    emits.emplace(out, num_blocks);
+    ring_assign = [&](sim::Block& block) { emits->Assign(block.block_id()); };
+    ring_place = [&](int block_id) { emits->Place(block_id); };
   }
 
   GJOIN_ASSIGN_OR_RETURN(
@@ -352,8 +329,8 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
         if (!area.Alloc(&block, config, shared_table, need_out)) return;
         BlockJoinState state;
         if (need_out) {
-          state.emits = &emits[static_cast<size_t>(block.block_id())];
-          state.emits->ring_capacity = out->capacity();
+          state.emits = &*emits;
+          state.ring_capacity = out->capacity();
         }
 
         // Device-memory table scratch (kDeviceHash); reused across
@@ -793,7 +770,7 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
         g_matches.fetch_add(state.matches, std::memory_order_relaxed);
         g_checksum.fetch_add(state.checksum, std::memory_order_relaxed);
       },
-      ring_epilogue));
+      ring_assign, ring_place));
 
   CoPartitionJoinResult join_result;
   join_result.matches = g_matches.load();

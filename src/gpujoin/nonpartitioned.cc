@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "src/util/bits.h"
@@ -20,19 +21,6 @@ std::pair<size_t, size_t> BlockRange(size_t n, int b, int nb) {
   const size_t chunk = CeilDiv(n, static_cast<size_t>(nb));
   const size_t begin = static_cast<size_t>(b) * chunk;
   return {std::min(begin, n), std::min(begin + chunk, n)};
-}
-
-/// Per-block result pairs recorded during the probe body and replayed
-/// onto the shared ring by the launch epilogue (ascending block id), so
-/// ring content and wrap behavior are independent of how host workers
-/// interleave the blocks. Every pair was claimed individually by the
-/// kernel, so the replay claims one slot per pair.
-void ReplayRingEmits(OutputRing* out, std::vector<uint64_t>* pairs) {
-  for (const uint64_t pair : *pairs) {
-    out->Write(out->Claim(1), static_cast<uint32_t>(pair >> 32),
-               static_cast<uint32_t>(pair));
-  }
-  std::vector<uint64_t>().swap(*pairs);
 }
 
 int ResolveNumBlocks(const sim::Device& device,
@@ -151,6 +139,8 @@ util::Result<PreparedNonPartitionedBuild> PrepareNonPartitionedBuild(
             // replay gives every chain the canonical (serialized
             // block-order) structure the probe goldens pin down. The
             // charges above are per-tuple counts and stay in the body.
+            // Unlike the other kernels' epilogues this one still writes
+            // tuple data (the nodes) serially.
             auto [begin, end] = BlockRange(n, block.block_id(), num_blocks);
             if (begin >= end) return;
             util::GroupProbe<uint32_t>(
@@ -199,13 +189,16 @@ util::Result<JoinStats> NonPartitionedJoinWithBuild(
   std::atomic<uint64_t> g_matches{0};
   std::atomic<uint64_t> g_checksum{0};
 
-  std::vector<std::vector<uint64_t>> emit(
-      out != nullptr ? static_cast<size_t>(num_blocks) : 0);
+  // Materialized output goes through the three launch phases (the
+  // kernel claims one slot per pair; a block's claims are contiguous in
+  // block order, so RingEmits claims them at once).
+  std::optional<RingEmits> emits;
   std::function<void(sim::Block&)> epilogue;
+  std::function<void(int)> place;
   if (out != nullptr) {
-    epilogue = [&](sim::Block& block) {
-      ReplayRingEmits(out, &emit[static_cast<size_t>(block.block_id())]);
-    };
+    emits.emplace(out, num_blocks);
+    epilogue = [&](sim::Block& block) { emits->Assign(block.block_id()); };
+    place = [&](int block_id) { emits->Place(block_id); };
   }
 
   if (config.variant == NonPartitionedVariant::kPerfectHash) {
@@ -240,9 +233,9 @@ util::Result<JoinStats> NonPartitionedJoinWithBuild(
                   checksum += static_cast<uint64_t>(rpay) +
                               probe.payloads[begin + i];
                   if (out != nullptr) {
-                    emit[static_cast<size_t>(block.block_id())].push_back(
-                        (static_cast<uint64_t>(rpay) << 32) |
-                        probe.payloads[begin + i]);
+                    emits->Emit(block.block_id(),
+                                OutputRing::Pack(rpay,
+                                                 probe.payloads[begin + i]));
                   }
                 }
               });
@@ -270,7 +263,7 @@ util::Result<JoinStats> NonPartitionedJoinWithBuild(
           g_matches.fetch_add(matches, std::memory_order_relaxed);
           g_checksum.fetch_add(checksum, std::memory_order_relaxed);
         },
-        epilogue));
+        epilogue, place));
     stats.join_s = build.build_s + probe_result.seconds;
   } else {
     const sim::DeviceBuffer<int32_t>& heads = build.heads;
@@ -350,9 +343,9 @@ util::Result<JoinStats> NonPartitionedJoinWithBuild(
                       ++matches;
                       checksum += static_cast<uint64_t>(node.pay) +
                                   probe.payloads[begin + i];
-                      emit[static_cast<size_t>(block.block_id())].push_back(
-                          (static_cast<uint64_t>(node.pay) << 32) |
-                          probe.payloads[begin + i]);
+                      emits->Emit(block.block_id(),
+                                  OutputRing::Pack(node.pay,
+                                                   probe.payloads[begin + i]));
                     }
                     e = node.next;
                   }
@@ -387,7 +380,7 @@ util::Result<JoinStats> NonPartitionedJoinWithBuild(
           g_matches.fetch_add(matches, std::memory_order_relaxed);
           g_checksum.fetch_add(checksum, std::memory_order_relaxed);
         },
-        epilogue));
+        epilogue, place));
     stats.join_s = build.build_s + probe_result.seconds;
   }
 

@@ -6,13 +6,18 @@
 // the results back to the CPU when they overflow the GPU memory ... but
 // overwrite them in order to isolate the in-GPU performance"); the
 // out-of-GPU strategies instead drain it over PCIe between wraps.
+//
+// RingEmits carries one kernel launch's output into a ring along the
+// three launch phases of sim::Device::Launch (record, assign, place).
 
 #ifndef GJOIN_GPUJOIN_OUTPUT_RING_H_
 #define GJOIN_GPUJOIN_OUTPUT_RING_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "src/sim/device_memory.h"
 #include "src/util/status.h"
@@ -44,10 +49,14 @@ class OutputRing {
     return cursor_->fetch_add(count, std::memory_order_relaxed);
   }
 
+  /// Packs one result pair as stored in the ring.
+  static uint64_t Pack(uint32_t r_payload, uint32_t s_payload) {
+    return (static_cast<uint64_t>(r_payload) << 32) | s_payload;
+  }
+
   /// Writes one pair at logical offset `pos` (wraps internally).
   void Write(uint64_t pos, uint32_t r_payload, uint32_t s_payload) {
-    pairs_[pos % pairs_.size()] =
-        (static_cast<uint64_t>(r_payload) << 32) | s_payload;
+    pairs_[pos % pairs_.size()] = Pack(r_payload, s_payload);
   }
 
   /// Pairs written so far (may exceed capacity; excess wrapped).
@@ -67,9 +76,101 @@ class OutputRing {
   /// Resets the cursor (between pipeline chunks).
   void ResetCursor() { cursor_->store(0, std::memory_order_relaxed); }
 
+  /// Most result pairs any one launch staged on the host for this ring
+  /// (summed over its blocks). RingEmits bounds it by blocks x capacity,
+  /// whatever the output volume.
+  uint64_t peak_staged_pairs() const { return peak_staged_pairs_; }
+
  private:
+  friend class RingEmits;
+
   sim::DeviceBuffer<uint64_t> pairs_;
   std::unique_ptr<std::atomic<uint64_t>> cursor_;
+  uint64_t peak_staged_pairs_ = 0;
+};
+
+/// \brief One launch's materialized output on its way into an OutputRing.
+///
+///  - Body: Emit() records a block's pairs in emission order. Only a
+///    block's last capacity() pairs can survive its own later writes, so
+///    it keeps just those (in a block-private ring) plus its total count.
+///    Host staging is thus bounded by blocks x capacity, not by output.
+///  - Epilogue: Assign() claims the block's total with one reservation —
+///    in ascending block order a block's claims are contiguous anyway.
+///  - Placement: Place() writes the block's pairs whose logical position
+///    falls in the launch's final window [max(start, end - capacity),
+///    end). Every ring slot is written at most once, so blocks place
+///    concurrently, and the ring's bytes and cursor equal a serial
+///    replay of every claim in block order — wraps, a nonzero starting
+///    cursor and slots this launch never reaches included.
+/// Nothing here charges: the kernel's emit costs are paid by the body.
+class RingEmits {
+ public:
+  RingEmits(OutputRing* ring, int num_blocks)
+      : ring_(ring), blocks_(static_cast<size_t>(num_blocks)) {}
+
+  /// Body: records one result pair of `block`.
+  void Emit(int block, uint64_t pair) {
+    Staged& st = blocks_[static_cast<size_t>(block)];
+    const size_t cap = ring_->capacity();
+    if (st.tail.size() < cap) {
+      st.tail.push_back(pair);
+    } else {
+      st.tail[st.count % cap] = pair;
+    }
+    ++st.count;
+  }
+
+  /// Body: records `n` consecutive result pairs of `block`.
+  void Emit(int block, const uint64_t* pairs, size_t n) {
+    for (size_t i = 0; i < n; ++i) Emit(block, pairs[i]);
+  }
+
+  /// Epilogue (ascending block id): claims the block's ring space.
+  void Assign(int block) {
+    Staged& st = blocks_[static_cast<size_t>(block)];
+    if (st.count > 0) st.start = ring_->Claim(st.count);
+    staged_ += st.tail.size();
+    if (static_cast<size_t>(block) + 1 == blocks_.size()) {
+      ring_->peak_staged_pairs_ =
+          std::max(ring_->peak_staged_pairs_, staged_);
+      end_ = ring_->total_written();
+    }
+  }
+
+  /// Placement (concurrent): writes the block's surviving pairs, then
+  /// frees its staging.
+  void Place(int block) {
+    Staged& st = blocks_[static_cast<size_t>(block)];
+    const uint64_t cap = ring_->capacity();
+    // The block's range [start, start + count) begins at or after the
+    // launch's starting cursor, so clipping it to the last `cap`
+    // positions yields its share of the final window.
+    const uint64_t lo = std::max(st.start, end_ >= cap ? end_ - cap : 0);
+    const uint64_t hi = std::min(end_, st.start + st.count);
+    for (uint64_t pos = lo; pos < hi;) {
+      // Pair i of the block sits at tail[i % cap] and lands in ring slot
+      // pos % cap; copy the longest stretch where neither index wraps.
+      const uint64_t from = (pos - st.start) % cap;
+      const uint64_t to = pos % cap;
+      const uint64_t n = std::min({hi - pos, cap - from, cap - to});
+      std::copy_n(st.tail.data() + from, n, ring_->pairs_.data() + to);
+      pos += n;
+    }
+    st = Staged();
+  }
+
+ private:
+  struct Staged {
+    std::vector<uint64_t> tail;  ///< Pair i at tail[i % capacity].
+    uint64_t count = 0;          ///< Pairs emitted (may exceed capacity).
+    uint64_t start = 0;          ///< First logical position (Assign).
+  };
+
+  OutputRing* ring_;
+  uint64_t end_ = 0;  ///< Cursor after the last block's Assign.
+  uint64_t staged_ = 0;
+  std::vector<Staged> blocks_;
 };
 
 }  // namespace gjoin::gpujoin

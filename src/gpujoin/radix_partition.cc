@@ -1,6 +1,8 @@
 #include "src/gpujoin/radix_partition.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <functional>
 
 #include "src/obs/metrics.h"
 #include "src/util/bits.h"
@@ -200,31 +202,32 @@ size_t BlockLocalSharedBytes(uint32_t fanout, uint32_t stage_elems) {
 /// "accessing data in the GPU memory" cost).
 ///
 /// Concurrent appends to a shared chain would land in host-scheduling
-/// order, so each block instead records its runs into a private buffer
-/// (AppendBulk, lock-free) and the launch epilogue replays them in block
-/// order (Replay). The replay packs tuples and allocates buckets exactly
-/// as serialized block-order execution would, so chain structure and the
-/// per-block bucket-allocation atomics are bit-identical from 1 host
-/// thread to N. Order-independent charges (stage flushes and their
-/// metadata atomics) are paid at record time, where the kernel performs
-/// them.
-///
-/// With a single host worker the record/replay detour is pure overhead:
-/// ParallelForRanges hands all blocks to one worker in ascending id, so
-/// inline appends already happen in canonical block order. `direct`
-/// mode packs straight into the chains from the block body — same run
-/// sequence per child, same packing, same per-block charges (the
-/// bucket-allocation atomic moves from epilogue to body but stays on
-/// the same block's stats) — and skips a full buffered copy of every
-/// tuple. Byte-identity between the two modes is pinned by the
-/// 1-vs-8-thread cases of gpujoin_stat_invariance_test.
+/// order, so the three launch phases split the work:
+///  - body (AppendBulk): each block stages its runs privately, lock-free,
+///    paying the order-independent charges (stage flushes and their
+///    metadata atomics) where the kernel performs them;
+///  - epilogue (Assign): in ascending block id, each run is given its
+///    destination slots — buckets are allocated and prepended exactly as
+///    serialized block-order execution would, and the block is charged
+///    one device atomic per bucket it draws — without moving any tuple;
+///  - placement (Place): blocks copy their staged runs to the assigned
+///    slots concurrently (destinations are disjoint by construction).
+/// Chain structure, bucket contents and per-block charges are therefore
+/// bit-identical at every host pool width.
 class GlobalChains {
  public:
-  GlobalChains(BucketChains* out, int num_blocks, bool direct)
+  GlobalChains(BucketChains* out, int num_blocks)
       : out_(out),
-        direct_(direct),
         cur_(out->num_partitions(), BucketChains::kNull),
-        per_block_(direct ? 0 : static_cast<size_t>(num_blocks)) {}
+        per_block_(static_cast<size_t>(num_blocks)) {}
+
+  /// Sizes a block's staging for the `tuples` it will append, so the
+  /// staged copy is allocated once instead of grown by doubling.
+  void Reserve(int block_id, size_t tuples) {
+    PerBlock& pb = per_block_[static_cast<size_t>(block_id)];
+    pb.keys.reserve(tuples);
+    pb.pays.reserve(tuples);
+  }
 
   /// Appends a staged run of `count` tuples to child partition `child`.
   /// `flush_events` is how many stage flushes the tuple-at-a-time path
@@ -240,85 +243,111 @@ class GlobalChains {
     block->ChargeRandomAccess(flush_events, 16ull * out_->num_partitions());
     block->ChargeStageFlush(count);
     if (count == 0) return;
-    if (direct_) {
-      Pack(block, child, keys, pays, count);
-      return;
-    }
     PerBlock& pb = per_block_[static_cast<size_t>(block->block_id())];
-    pb.runs.push_back({child, count});
+    pb.runs.push_back({child, count, 0});
     pb.keys.insert(pb.keys.end(), keys, keys + count);
     pb.pays.insert(pb.pays.end(), pays, pays + count);
   }
 
-  /// Epilogue half: drains this block's recorded runs onto the shared
-  /// chains, charging it one device atomic per bucket it draws from the
-  /// pool — the same allocations it would have performed inline under
-  /// serialized block-order execution. No-op in direct mode (everything
-  /// was packed in the body).
-  void Replay(sim::Block* block) {
-    if (direct_) return;
+  /// Epilogue half: assigns this block's runs their slots in the shared
+  /// chains. Fills each child's current bucket to capacity before drawing
+  /// a fresh one (one device atomic each, charged to this block) and
+  /// prepends new buckets to the child's list; runs arrive in ascending
+  /// block order, so the chain order is canonical. Rewrites each run's
+  /// `target` from child to first destination bucket and records the
+  /// buckets a run spills into, in order.
+  void Assign(sim::Block* block) {
     PerBlock& pb = per_block_[static_cast<size_t>(block->block_id())];
-    size_t off = 0;
-    for (const Run& run : pb.runs) {
-      PackFrom(block, run.child, pb.keys.data() + off, pb.pays.data() + off,
-               run.count);
-      off += run.count;
+    const uint32_t cap = out_->bucket_capacity();
+    for (Run& run : pb.runs) {
+      const uint32_t child = run.target;
+      uint32_t left = run.count;
+      bool first = true;
+      while (left > 0) {
+        int32_t b = cur_[child];
+        if (b == BucketChains::kNull || out_->fill()[b] == cap) {
+          b = out_->AllocateBucket();
+          block->ChargeDeviceAtomic(1);
+          if (b == BucketChains::kNull) {
+            // Pool exhausted: an internal sizing bug; make it loud.
+            std::fprintf(stderr, "gjoin: bucket pool exhausted\n");
+            std::abort();
+          }
+          out_->next()[b] = out_->heads()[child];
+          out_->heads()[child] = b;
+          cur_[child] = b;
+        }
+        if (first) {
+          run.target = static_cast<uint32_t>(b);
+          run.offset = out_->fill()[b];
+          first = false;
+        } else {
+          pb.spills.push_back(b);
+        }
+        const uint32_t batch = std::min(cap - out_->fill()[b], left);
+        out_->fill()[b] += batch;
+        left -= batch;
+      }
     }
-    pb = PerBlock();  // the buffered copy is dead weight from here
+  }
+
+  /// Placement half: copies this block's staged runs to the slots Assign
+  /// gave them, then frees the staging. Runs shorter than a cache line
+  /// use plain stores (the typical run is a few dozen bytes, where
+  /// non-temporal stores' alignment head and write-combining cost more
+  /// than they save); longer ones stream. Charge-free by construction.
+  void Place(int block_id) {
+    PerBlock& pb = per_block_[static_cast<size_t>(block_id)];
+    const uint32_t cap = out_->bucket_capacity();
+    size_t src = 0;
+    size_t spill = 0;
+    for (const Run& run : pb.runs) {
+      auto b = static_cast<int32_t>(run.target);
+      uint32_t at = run.offset;
+      uint32_t done = 0;
+      for (;;) {
+        const uint32_t batch = std::min(cap - at, run.count - done);
+        const size_t dst = static_cast<size_t>(b) * cap + at;
+        CopyRun(pb.keys.data() + src + done, out_->keys() + dst, batch);
+        CopyRun(pb.pays.data() + src + done, out_->payloads() + dst, batch);
+        done += batch;
+        if (done == run.count) break;
+        b = pb.spills[spill++];
+        at = 0;
+      }
+      src += run.count;
+    }
+    pb = PerBlock();  // the staged copy is dead weight from here
     util::StreamFence();
   }
 
  private:
-  void Pack(sim::Block* block, uint32_t child, const uint32_t* keys,
-            const uint32_t* pays, uint32_t count) {
-    PackFrom(block, child, keys, pays, count);
-  }
+  /// Tuples per 64-byte cache line (4-byte keys and payloads).
+  static constexpr uint32_t kLineElems = 16;
 
-  /// Packs one run into `child`'s chain: fills the child's current
-  /// bucket to capacity before drawing a fresh one (one device atomic
-  /// each), prepending new buckets to the child's list.
-  void PackFrom(sim::Block* block, uint32_t child, const uint32_t* keys,
-                const uint32_t* pays, uint32_t count) {
-    const uint32_t cap = out_->bucket_capacity();
-    uint32_t done = 0;
-    while (done < count) {
-      int32_t b = cur_[child];
-      if (b == BucketChains::kNull || out_->fill()[b] == cap) {
-        const int32_t nb = out_->AllocateBucket();
-        block->ChargeDeviceAtomic(1);
-        if (nb == BucketChains::kNull) {
-          // Pool exhausted: an internal sizing bug; make it loud.
-          std::fprintf(stderr, "gjoin: bucket pool exhausted\n");
-          std::abort();
-        }
-        // Prepend to the child's list (runs arrive in ascending block
-        // order — inline in direct mode, via replay otherwise — so the
-        // order is canonical).
-        out_->next()[nb] = out_->heads()[child];
-        out_->heads()[child] = nb;
-        cur_[child] = nb;
-        b = nb;
-      }
-      const uint32_t room = cap - out_->fill()[b];
-      const uint32_t batch = std::min(room, count - done);
-      const size_t dst = static_cast<size_t>(b) * cap + out_->fill()[b];
-      util::StreamCopyU32(keys + done, out_->keys() + dst, batch);
-      util::StreamCopyU32(pays + done, out_->payloads() + dst, batch);
-      out_->fill()[b] += batch;
-      done += batch;
+  static void CopyRun(const uint32_t* src, uint32_t* dst, uint32_t n) {
+    if (n < kLineElems) {
+      std::copy_n(src, n, dst);
+    } else {
+      util::StreamCopyU32(src, dst, n);
     }
   }
 
   struct Run {
-    uint32_t child;
+    /// Child partition until Assign, then the run's first destination
+    /// bucket.
+    uint32_t target;
     uint32_t count;
+    /// First slot within the destination bucket (set by Assign).
+    uint32_t offset;
   };
   struct PerBlock {
     std::vector<Run> runs;
     std::vector<uint32_t> keys, pays;
+    /// Buckets the runs continue into past their first one, in run order.
+    std::vector<int32_t> spills;
   };
   BucketChains* out_;
-  bool direct_ = false;
   std::vector<int32_t> cur_;
   std::vector<PerBlock> per_block_;
 };
@@ -709,8 +738,7 @@ util::Result<PartitionedRelation> RadixPartitionNextPass(
   launch.threads_per_block = config.threads_per_block;
   launch.shared_mem_bytes = device->spec().gpu.shared_mem_per_block;
 
-  GlobalChains global(&chains, num_blocks,
-                      /*direct=*/device->functional_parallelism() == 1);
+  GlobalChains global(&chains, num_blocks);
   const bool bucket_mode =
       config.assignment == WorkAssignment::kBucketAtATime;
   std::vector<std::vector<PendingSegment>> pending(
@@ -744,6 +772,11 @@ util::Result<PartitionedRelation> RadixPartitionNextPass(
           StageOnly stage;
           if (!stage.Alloc(&block, subfanout, config.stage_elems)) return;
           for (uint32_t s = 0; s < subfanout; ++s) stage.stage_fill[s] = 0;
+          size_t block_tuples = 0;
+          for (const WorkItem& item : items) {
+            block_tuples += in.fill()[item.bucket];
+          }
+          global.Reserve(block.block_id(), block_tuples);
 
           uint32_t open_parent = 0;
           bool has_open = false;
@@ -829,14 +862,17 @@ util::Result<PartitionedRelation> RadixPartitionNextPass(
       },
       [&](sim::Block& block) {
         if (bucket_mode) {
-          global.Replay(&block);
+          global.Assign(&block);
         } else {
           for (const PendingSegment& seg :
                pending[static_cast<size_t>(block.block_id())]) {
             chains.PublishSegment(seg.partition, seg.first, seg.last);
           }
         }
-      }));
+      },
+      bucket_mode ? std::function<void(int)>(
+                        [&](int block_id) { global.Place(block_id); })
+                  : nullptr));
   PublishScatterCounters(config, scatter_counters);
 
   PartitionedRelation out;

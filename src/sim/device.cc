@@ -13,7 +13,8 @@ Device::Device(const hw::HardwareSpec& spec, util::ThreadPool* pool)
 
 util::Result<LaunchResult> Device::Launch(
     const LaunchConfig& config, const std::function<void(Block&)>& body,
-    const std::function<void(Block&)>& epilogue) {
+    const std::function<void(Block&)>& epilogue,
+    const std::function<void(int)>& place) {
   if (config.num_blocks <= 0) {
     return util::Status::Invalid("launch '" + config.name +
                                  "': num_blocks must be positive");
@@ -57,8 +58,8 @@ util::Result<LaunchResult> Device::Launch(
         });
     for (const auto& ws : worker_stats) result.stats.Merge(ws);
   } else {
-    // Two-phase deterministic launch: bodies run concurrently on their
-    // own scratchpads, then the epilogue visits the surviving blocks in
+    // Deterministic launch: bodies run concurrently on their own
+    // scratchpads, then the epilogue visits the surviving blocks in
     // ascending id on this thread (see the header comment). Epilogue
     // charges land on the block's own stats, so per-block totals — and
     // with them max_block_cycles — match single-threaded inline
@@ -82,6 +83,15 @@ util::Result<LaunchResult> Device::Launch(
       epilogue(*blocks[static_cast<size_t>(b)]);
       result.stats.Merge(blocks[static_cast<size_t>(b)]->TakeStats());
     }
+  }
+  if (place) {
+    // Charge-free placement: every destination is fixed, so blocks write
+    // their staged output concurrently.
+    pool_->ParallelForRanges(
+        static_cast<size_t>(num_blocks),
+        [&](size_t /*worker*/, size_t begin, size_t end) {
+          for (size_t b = begin; b < end; ++b) place(static_cast<int>(b));
+        });
   }
   result.cost = cost_model_.KernelTime(result.stats);
   result.seconds = result.cost.total_s;

@@ -3,7 +3,8 @@
 //
 // Device::Launch runs a kernel body once per thread block (parallelized
 // over host threads purely for wall-clock speed — modeled time is
-// unaffected), merges the per-block KernelStats and converts them to
+// unaffected), optionally followed by a serial offset-assigning epilogue
+// and a parallel placement phase (see Launch), merges the per-block KernelStats and converts them to
 // modeled seconds with the hw::CostModel. A Device also owns the
 // simulated device memory and accumulates a profile of all launches,
 // which the experiment harness reads to report phase breakdowns
@@ -70,19 +71,36 @@ class Device {
   /// the launch configuration violates device limits (block size, shared
   /// memory) — the same errors CUDA reports at launch time.
   ///
-  /// When `epilogue` is provided, every block stays alive after its body
-  /// returns and `epilogue(block)` then runs sequentially in ascending
-  /// block id on the calling thread, charging into the same per-block
-  /// stats. Kernels route cross-block side effects (chain publishes,
-  /// shared-table inserts, result-ring claims) through the epilogue so
-  /// the functional outcome — and every charged counter, including
-  /// max_block_cycles — is independent of how blocks interleave across
-  /// host workers: at one host thread the epilogue order equals the
-  /// inline execution order, and at N threads it reproduces it.
+  /// A launch runs in up to three phases; results and every charged
+  /// counter (max_block_cycles included) are independent of how blocks
+  /// interleave across host workers.
+  ///
+  ///  1. Bodies. `body(block)` runs concurrently on the device's pool.
+  ///     Bodies may charge their block and stage output privately; they
+  ///     may not order cross-block side effects by arrival.
+  ///  2. Epilogue (optional). Every block stays alive after its body and
+  ///     `epilogue(block)` then runs sequentially in ascending block id on
+  ///     the calling thread, charging into the same per-block stats. It
+  ///     assigns offsets and records attribution — allocates buckets,
+  ///     advances cursors, publishes chain segments, claims ring space —
+  ///     and never moves tuple or pair data: it is the launch's serial
+  ///     floor, so it stays O(blocks + segments). (The non-partitioned
+  ///     chain build still writes its nodes here; see nonpartitioned.cc.)
+  ///  3. Placement (optional). `place(block_id)` runs concurrently on the
+  ///     device's pool once every epilogue has returned; each block copies
+  ///     its staged output to the destinations its epilogue assigned.
+  ///     Placement receives a block id, not a Block, so by its type it
+  ///     cannot charge: everything modeled was settled in phases 1–2.
+  ///     Destinations of different blocks must be disjoint.
+  ///
+  /// This is the paper's recipe applied to the host: output positions
+  /// come from counts (or one atomic per block), then every block writes
+  /// its data in parallel.
   [[nodiscard]]
   util::Result<LaunchResult> Launch(
       const LaunchConfig& config, const std::function<void(Block&)>& body,
-      const std::function<void(Block&)>& epilogue = nullptr);
+      const std::function<void(Block&)>& epilogue = nullptr,
+      const std::function<void(int)>& place = nullptr);
 
   /// Simulated device memory (capacity-accounted allocations).
   DeviceMemory& memory() { return memory_; }
@@ -105,10 +123,6 @@ class Device {
   /// The armed fault injector, or nullptr when none is armed.
   FaultInjector* faults() { return injector_.get(); }
   const FaultInjector* faults() const { return injector_.get(); }
-
-  /// Host threads executing simulated blocks concurrently. Kernels with
-  /// host-side shared state may skip their locking when this is 1.
-  size_t functional_parallelism() const { return pool_->num_threads(); }
 
   /// Timing model in use.
   const hw::CostModel& cost_model() const { return cost_model_; }

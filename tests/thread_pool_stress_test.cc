@@ -1,5 +1,5 @@
 // Concurrency stress tests: the ThreadPool edge cases and, more
-// importantly, the determinism contract of the two-phase launch path —
+// importantly, the determinism contract of the three-phase launch path —
 // every join result, every charged KernelStats counter, and every byte
 // of a materialized output ring must be identical whether the simulated
 // blocks execute on 1 host worker or interleave across 8. The CI thread
@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -138,7 +140,7 @@ TEST_F(LaunchDeterminismTest, PartitionedJoinIdenticalAcrossPoolWidths) {
   sim::Device d1{hw::HardwareSpec::Icde2019Testbed(), &pool1_};
   auto ref = gpujoin::PartitionedJoinFromHost(&d1, r_, s_, cfg);
   ASSERT_TRUE(ref.ok()) << ref.status();
-  // Several repetitions: before the two-phase launch epilogue, failures
+  // Several repetitions: before the launch epilogue existed, failures
   // here were interleaving-dependent and intermittent.
   for (int rep = 0; rep < 3; ++rep) {
     SCOPED_TRACE("rep " + std::to_string(rep));
@@ -154,7 +156,7 @@ TEST_F(LaunchDeterminismTest, PartitionedJoinIdenticalAcrossPoolWidths) {
 
 TEST_F(LaunchDeterminismTest, PartitionAtATimeSecondPassIdentical) {
   // The default (bucket-at-a-time) second pass runs in the test above
-  // through the GlobalChains ordered replay; this covers the
+  // through the GlobalChains assign/place phases; this covers the
   // partition-at-a-time assignment, whose deferred segment publishes
   // replay through the same epilogue.
   gpujoin::PartitionedJoinConfig cfg;
@@ -177,8 +179,9 @@ TEST_F(LaunchDeterminismTest, PartitionAtATimeSecondPassIdentical) {
 
 TEST_F(LaunchDeterminismTest, MaterializedRingBytesIdenticalEvenWrapped) {
   // A ring smaller than the result set forces wrap-around overwrites, so
-  // even the *order* of ring claims is observable. The epilogue replay
-  // must reproduce the single-worker order exactly.
+  // even the *order* of ring claims is observable. The epilogue's claims
+  // and the placement that follows must reproduce the single-worker
+  // order exactly.
   const auto run = [&](sim::Device* dev, std::vector<uint64_t>* ring_bytes) {
     gpujoin::RadixPartitionConfig pc;
     pc.pass_bits = {4};
@@ -251,6 +254,202 @@ TEST_F(LaunchDeterminismTest, NonPartitionedVariantsIdentical) {
       ExpectSameProfile(d1, d8);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Placement edge cases: the epilogue assigns offsets, placement writes
+// data. Each case is bit-identical between pools of 1 and 8 workers and
+// against a digest pinned from the serial-replay implementation that
+// preceded the placement phase (computed by the same helpers below).
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over 64-bit words.
+uint64_t Fnv(uint64_t h, uint64_t word) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (word >> (8 * i)) & 0xffu;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+constexpr uint64_t kFnvSeed = 14695981039346656037ull;
+
+/// Digest of a partitioned relation's content in chain order (per
+/// partition: every bucket's fill and tuples, head to tail). Bucket ids
+/// are deliberately left out: they follow the pool's free list.
+uint64_t ChainDigest(const gpujoin::PartitionedRelation& rel) {
+  const gpujoin::BucketChains& c = rel.chains;
+  uint64_t h = kFnvSeed;
+  for (uint32_t p = 0; p < c.num_partitions(); ++p) {
+    h = Fnv(h, p);
+    for (int32_t b = c.heads()[p]; b != gpujoin::BucketChains::kNull;
+         b = c.next()[b]) {
+      const uint32_t fill = c.fill()[b];
+      h = Fnv(h, fill);
+      const size_t base = static_cast<size_t>(b) * c.bucket_capacity();
+      for (uint32_t i = 0; i < fill; ++i) {
+        h = Fnv(h, (static_cast<uint64_t>(c.keys()[base + i]) << 32) |
+                       c.payloads()[base + i]);
+      }
+    }
+  }
+  return h;
+}
+
+/// Digest of every ring slot plus the cursor.
+uint64_t RingDigest(const gpujoin::OutputRing& ring) {
+  uint64_t h = Fnv(kFnvSeed, ring.total_written());
+  for (size_t i = 0; i < ring.capacity(); ++i) h = Fnv(h, ring.pair(i));
+  return h;
+}
+
+TEST_F(LaunchDeterminismTest, Pass2RunsStraddlingBucketsIdentical) {
+  // 16-tuple buckets against 256-tuple scatter-buffer runs: nearly every
+  // second-pass run spills across several freshly drawn buckets, so the
+  // epilogue's spill list and placement's bucket hops are exercised.
+  gpujoin::RadixPartitionConfig pc;
+  pc.pass_bits = {4, 4};
+  pc.bucket_capacity = 16;
+  pc.scatter_buffer_tuples = 256;
+  const auto run = [&](sim::Device* dev, uint64_t* digest) {
+    auto up = gpujoin::DeviceRelation::Upload(dev, s_);
+    ASSERT_TRUE(up.ok()) << up.status();
+    auto parted = gpujoin::RadixPartition(dev, *up, pc);
+    ASSERT_TRUE(parted.ok()) << parted.status();
+    ASSERT_EQ(parted->chains.TotalElements(), s_.size());
+    *digest = ChainDigest(*parted);
+  };
+  sim::Device d1{hw::HardwareSpec::Icde2019Testbed(), &pool1_};
+  uint64_t ref = 0;
+  run(&d1, &ref);
+  EXPECT_EQ(ref, 12576657624191134178ull);
+  for (int rep = 0; rep < 3; ++rep) {
+    SCOPED_TRACE("rep " + std::to_string(rep));
+    sim::Device d8{hw::HardwareSpec::Icde2019Testbed(), &pool8_};
+    uint64_t got = 0;
+    run(&d8, &got);
+    EXPECT_EQ(got, ref);
+    ExpectSameProfile(d1, d8);
+  }
+}
+
+/// Ring placement cases: one partitioned R x S join (M matches) run
+/// twice into the same ring without ResetCursor, so the second call
+/// starts at a nonzero cursor. Capacities put each call's total below,
+/// at and above capacity; where a call writes fewer pairs than the ring
+/// holds, the earlier content must survive around it.
+class RingPlacementTest : public LaunchDeterminismTest,
+                          public ::testing::WithParamInterface<bool> {
+ protected:
+  static constexpr uint64_t kMatches = 156141;  // matches of one call
+
+  /// Joins twice into a ring of `capacity` pairs; returns its digest.
+  void Run(sim::Device* dev, size_t capacity, uint64_t* digest) {
+    gpujoin::RadixPartitionConfig pc;
+    pc.pass_bits = {4};
+    auto pr = gpujoin::RadixPartition(
+        dev, std::move(gpujoin::DeviceRelation::Upload(dev, r_)).ValueOrDie(),
+        pc);
+    auto ps = gpujoin::RadixPartition(
+        dev, std::move(gpujoin::DeviceRelation::Upload(dev, s_)).ValueOrDie(),
+        pc);
+    ASSERT_TRUE(pr.ok() && ps.ok());
+    auto ring = gpujoin::OutputRing::Allocate(&dev->memory(), capacity);
+    ASSERT_TRUE(ring.ok()) << ring.status();
+    gpujoin::OutputRing out = std::move(ring).ValueOrDie();
+    gpujoin::CoPartitionJoinConfig jcfg;
+    jcfg.output = gpujoin::OutputMode::kMaterialize;
+    jcfg.buffered_output = GetParam();
+    for (int call = 0; call < 2; ++call) {
+      auto stats = gpujoin::JoinCoPartitions(dev, *pr, *ps, jcfg, &out);
+      ASSERT_TRUE(stats.ok()) << stats.status();
+      ASSERT_EQ(stats->matches, kMatches);
+      ASSERT_EQ(out.total_written(), (call + 1) * kMatches);
+    }
+    *digest = RingDigest(out);
+  }
+};
+
+TEST_P(RingPlacementTest, BytesIdenticalAcrossWidthsAndPinned) {
+  struct Case {
+    size_t capacity;
+    uint64_t digest;
+  };
+  const uint64_t m = kMatches;
+  const std::vector<Case> cases = {
+      {m / 3, 2867227886853676096ull},    // each call wraps several times
+      {m, 11010451164469912895ull},    // each call fills the ring exactly
+      {m + 777, 2146374008694150769ull},    // first call below; second wraps a little
+      {3 * m / 2, 17407732118588996131ull},  // second call wraps over half the first
+      {3 * m, 3603128068711496630ull},    // both below: zero tail survives
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE("capacity " + std::to_string(c.capacity));
+    sim::Device d1{hw::HardwareSpec::Icde2019Testbed(), &pool1_};
+    uint64_t ref = 0;
+    Run(&d1, c.capacity, &ref);
+    EXPECT_EQ(ref, c.digest);
+    sim::Device d8{hw::HardwareSpec::Icde2019Testbed(), &pool8_};
+    uint64_t got = 0;
+    Run(&d8, c.capacity, &got);
+    EXPECT_EQ(got, ref);
+    ExpectSameProfile(d1, d8);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BufferedAndDirect, RingPlacementTest,
+                         ::testing::Values(true, false),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Buffered" : "Direct";
+                         });
+
+TEST_F(LaunchDeterminismTest, RingStagingBoundedUnderOutputExplosion) {
+  // One hot key on both sides: 3000 x 3000 = 9M matches into a 1024-pair
+  // ring. Host staging may hold at most each block's last `capacity`
+  // pairs, however many the block emits.
+  data::Relation r, s;
+  for (uint32_t i = 0; i < 3000; ++i) {
+    r.keys.push_back(7);
+    r.payloads.push_back(i);
+    s.keys.push_back(7);
+    s.payloads.push_back(100000 + i);
+  }
+  constexpr size_t kCapacity = 1024;
+  constexpr int kBlocks = 16;
+  const auto run = [&](sim::Device* dev, uint64_t* digest, uint64_t* staged) {
+    gpujoin::RadixPartitionConfig pc;
+    pc.pass_bits = {4};
+    auto pr = gpujoin::RadixPartition(
+        dev, std::move(gpujoin::DeviceRelation::Upload(dev, r)).ValueOrDie(),
+        pc);
+    auto ps = gpujoin::RadixPartition(
+        dev, std::move(gpujoin::DeviceRelation::Upload(dev, s)).ValueOrDie(),
+        pc);
+    ASSERT_TRUE(pr.ok() && ps.ok());
+    auto ring = gpujoin::OutputRing::Allocate(&dev->memory(), kCapacity);
+    ASSERT_TRUE(ring.ok());
+    gpujoin::OutputRing out = std::move(ring).ValueOrDie();
+    gpujoin::CoPartitionJoinConfig jcfg;
+    jcfg.output = gpujoin::OutputMode::kMaterialize;
+    jcfg.num_blocks = kBlocks;
+    jcfg.max_probe_buckets_per_item = 1;  // spread the hot key over blocks
+    auto stats = gpujoin::JoinCoPartitions(dev, *pr, *ps, jcfg, &out);
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    ASSERT_EQ(stats->matches, 9000000u);
+    *digest = RingDigest(out);
+    *staged = out.peak_staged_pairs();
+  };
+  sim::Device d1{hw::HardwareSpec::Icde2019Testbed(), &pool1_};
+  sim::Device d8{hw::HardwareSpec::Icde2019Testbed(), &pool8_};
+  uint64_t ref = 0, got = 0, staged1 = 0, staged8 = 0;
+  run(&d1, &ref, &staged1);
+  run(&d8, &got, &staged8);
+  EXPECT_EQ(ref, 5006396769462102666ull);
+  EXPECT_EQ(got, ref);
+  ExpectSameProfile(d1, d8);
+  EXPECT_EQ(staged8, staged1);
+  EXPECT_LE(staged1, static_cast<uint64_t>(kBlocks) * kCapacity);
+  EXPECT_LT(staged1 * 100, 9000000u);  // << matches
+  EXPECT_GT(staged1, kCapacity);  // several blocks really emitted
 }
 
 }  // namespace
