@@ -98,13 +98,14 @@ int Run(int argc, char** argv) {
     {
       outofgpu::CoProcessConfig cfg = coproc_cfg;
       cfg.cpu.threads = threads;
-      auto stats = outofgpu::CoProcessJoinPlanned(&device, *coproc_plan, cfg);
-      util::ExitOnError(stats.status(), "fig13");
-      if (stats->matches != oracle.matches) {
+      auto run = outofgpu::CoProcessExecutePlanned(&device, *coproc_plan, cfg);
+      util::ExitOnError(run.status(), "fig13");
+      const gpujoin::JoinStats& stats = run->stats;
+      if (stats.matches != oracle.matches) {
         std::fprintf(stderr, "fig13: result mismatch\n");
         return 1;
       }
-      gpu_tput[threads] = bench::Tput(n, n, stats->seconds);
+      gpu_tput[threads] = bench::Tput(n, n, stats.seconds);
       ctx.Emit("GPU Partitioned", threads, gpu_tput[threads]);
     }
     {

@@ -6,7 +6,9 @@
 
 #include "bench/common.h"
 #include "bench/runner.h"
+#include "src/cpu/cpu_partition.h"
 #include "src/data/generator.h"
+#include "src/hw/cpu_cost.h"
 #include "src/hw/numa.h"
 #include "src/outofgpu/coprocess.h"
 
@@ -27,20 +29,27 @@ int Run(int argc, char** argv) {
     const auto s = data::MakeUniqueUniform(n, 162);
     const double x = static_cast<double>(nominal) / bench::kM;
     // The functional plan is independent of the staging policy; only the
-    // pipeline timing differs. Plan once per size.
+    // pipeline timing differs. Partition and plan once per size.
     outofgpu::CoProcessConfig base_cfg;
     base_cfg.join = bench::ScaledJoinConfig(ctx);
     base_cfg.chunk_tuples = std::max<size_t>(ctx.Scale(4 * bench::kM), 4096);
-    auto plan = outofgpu::PlanCoProcessJoin(&device, r, s, base_cfg);
+    const hw::CpuCostModel cpu_model(ctx.spec().cpu);
+    auto r_parts = cpu::CpuRadixPartition(r, base_cfg.cpu, cpu_model);
+    util::ExitOnError(r_parts.status(), "fig16");
+    auto s_parts = cpu::CpuRadixPartition(s, base_cfg.cpu, cpu_model);
+    util::ExitOnError(s_parts.status(), "fig16");
+    auto plan =
+        outofgpu::PlanCoProcessJoin(&device, *r_parts, *s_parts, base_cfg);
     util::ExitOnError(plan.status(), "fig16");
     for (bool staging : {true, false}) {
       outofgpu::CoProcessConfig cfg = base_cfg;
       cfg.staging = staging;
-      auto stats = outofgpu::CoProcessJoinPlanned(&device, *plan, cfg);
-      util::ExitOnError(stats.status(), "fig16");
+      auto run = outofgpu::CoProcessExecutePlanned(&device, *plan, cfg);
+      util::ExitOnError(run.status(), "fig16");
+      const double seconds = run->stats.seconds;
       // Effective end-to-end data rate: all input bytes over total time.
       const double rate =
-          static_cast<double>(r.bytes() + s.bytes()) / stats->seconds / 1e9;
+          static_cast<double>(r.bytes() + s.bytes()) / seconds / 1e9;
       ctx.Emit(staging ? "Staging" : "Direct copy", x, rate);
       gbps[{staging, nominal}] = rate;
     }

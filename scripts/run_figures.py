@@ -14,9 +14,13 @@ OUT/<name>.txt, the figure,series,x,value rows to OUT/<name>.csv, and
 everything to OUT/all_figures.csv.
 
 --timings additionally writes OUT/timings.json: per-bench wall-clock
-seconds (and the divisor each bench ran at), the measurement behind the
-README's "Full-scale timings" table. Timings are always collected; the
-flag only controls writing the JSON.
+seconds, peak resident set size in bytes (peak_rss_bytes) and the
+divisor each bench ran at, the measurement behind the README's
+"Full-scale timings" table. Timings are always collected; the flag only
+controls writing the JSON. Each bench runs under its own small wrapper
+process that reports its child's peak RSS: RUSAGE_CHILDREN's maxrss is
+a running maximum over every child a process has reaped, so reading it
+here would report the largest bench so far, not this one.
 
 --trace-dir DIR passes --trace_dir=DIR to every bench: session benches
 dump Chrome-trace JSON timelines there (viewable at ui.perfetto.dev).
@@ -29,13 +33,52 @@ themselves exit non-zero when a shape check fails), else 0.
 import argparse
 import csv
 import json
+import os
 import pathlib
 import re
+import signal
 import subprocess
 import sys
+import tempfile
 import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# Runs argv[2:] as its only child, writes that child's peak RSS in bytes
+# (ru_maxrss is in KiB on Linux) to the file argv[1], and exits with the
+# child's status (128 + signal when it was killed, as a shell reports).
+RSS_WRAPPER = """
+import resource, subprocess, sys
+rc = subprocess.call(sys.argv[2:])
+with open(sys.argv[1], "w") as f:
+    f.write(str(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024))
+sys.exit(rc if rc >= 0 else 128 - rc)
+"""
+
+
+def run_measured(cmd: list[str], timeout: int):
+    """Runs cmd under RSS_WRAPPER; returns (returncode, stdout, stderr,
+    peak_rss_bytes), with returncode None after a timeout."""
+    fd, rss_path = tempfile.mkstemp(prefix="gjoin_rss_")
+    os.close(fd)
+    # A new session, so a timeout kills the bench along with its wrapper.
+    proc = subprocess.Popen([sys.executable, "-c", RSS_WRAPPER, rss_path,
+                             *cmd], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=timeout)
+        returncode = proc.returncode
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        out, err = proc.communicate()
+        returncode = None
+    try:
+        text = pathlib.Path(rss_path).read_text()
+        peak_rss = int(text) if text else None
+    finally:
+        os.unlink(rss_path)
+    return returncode, out, err, peak_rss
 
 
 def discover_benches(only: str) -> list[str]:
@@ -102,29 +145,23 @@ def main() -> int:
             cmd.append(f"--trace_dir={args.trace_dir}")
         print(f"RUN  {' '.join(cmd)}", flush=True)
         start = time.monotonic()
-        try:
-            proc = subprocess.run(cmd, capture_output=True, text=True,
-                                  timeout=args.timeout)
-        except subprocess.TimeoutExpired as timeout:
+        returncode, stdout, stderr, peak_rss = run_measured(cmd,
+                                                            args.timeout)
+        if returncode is None:
             # Keep whatever the bench printed before hanging — that is
-            # exactly the log one needs to debug it. (TimeoutExpired
-            # carries bytes even in text mode on some Python versions.)
-            def as_text(v):
-                return v.decode(errors="replace") if isinstance(v, bytes) \
-                    else (v or "")
+            # exactly the log one needs to debug it.
             (out_dir / f"{name}.txt").write_text(
-                as_text(timeout.stdout) + as_text(timeout.stderr) +
-                f"\nFAIL: timeout after {args.timeout}s\n")
+                stdout + stderr + f"\nFAIL: timeout after {args.timeout}s\n")
             print(f"FAIL {name}: timeout after {args.timeout}s",
                   file=sys.stderr)
             failures.append(name)
             continue
-        (out_dir / f"{name}.txt").write_text(proc.stdout + proc.stderr)
+        (out_dir / f"{name}.txt").write_text(stdout + stderr)
         wall_s = time.monotonic() - start
 
         rows = []
         divisor = None
-        for line in proc.stdout.splitlines():
+        for line in stdout.splitlines():
             if line.startswith("#"):
                 m = re.match(r"# divisor=(\d+)", line)
                 if m:
@@ -143,13 +180,15 @@ def main() -> int:
         all_rows.extend(rows)
 
         timings[name] = {"wall_seconds": round(wall_s, 3),
+                         "peak_rss_bytes": peak_rss,
                          "divisor": divisor}
-        if proc.returncode != 0:
-            print(f"FAIL {name}: exit {proc.returncode}", file=sys.stderr)
+        if returncode != 0:
+            print(f"FAIL {name}: exit {returncode}", file=sys.stderr)
             failures.append(name)
         else:
-            print(f"OK   {name}: {len(rows)} rows ({wall_s:.1f}s)",
-                  flush=True)
+            rss_gb = (peak_rss or 0) / 1e9
+            print(f"OK   {name}: {len(rows)} rows ({wall_s:.1f}s, "
+                  f"{rss_gb:.2f} GB peak RSS)", flush=True)
 
     if args.timings:
         with open(out_dir / "timings.json", "w") as f:

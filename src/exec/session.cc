@@ -7,8 +7,6 @@
 #include <vector>
 
 #include "src/cpu/cpu_joins.h"
-#include "src/gpujoin/join_copartitions.h"
-#include "src/gpujoin/output_ring.h"
 #include "src/hw/cpu_cost.h"
 #include "src/hw/numa.h"
 #include "src/hw/pcie.h"
@@ -1054,6 +1052,45 @@ util::Status Session::ExecuteAttempt(int index, api::Strategy strategy,
     return -1;
   };
 
+  // This query's partitioned build: a cache hit, or a fresh upload +
+  // partition inserted into the cache (kept private in `*local` when
+  // over budget) with the upload's transfer faults charged.
+  struct AcquiredBuild {
+    std::string key;
+    const PreparedBuild* prepared = nullptr;
+    bool shared = false;          // served from the cache
+    uint64_t artifact_bytes = 0;  // device bytes of a fresh production
+  };
+  auto acquire_build = [&](const PartitionedJoinConfig& cfg,
+                           PreparedBuild* local)
+      -> util::Result<AcquiredBuild> {
+    AcquiredBuild acquired;
+    acquired.key = UploadCache::BuildKey(build, cfg.partition);
+    leases.Add(acquired.key);
+    acquired.prepared = dcache.AcquireBuild(acquired.key);
+    acquired.shared = acquired.prepared != nullptr;
+    if (acquired.shared) {
+      ++stats_.shared_build_hits;
+      return acquired;
+    }
+    const uint64_t before = dev->memory().used();
+    GJOIN_ASSIGN_OR_RETURN(
+        *local, gjoin::gpujoin::PreparePartitionedBuild(dev, build, cfg));
+    acquired.artifact_bytes = dev->memory().used() - before;
+    util::Result<const PreparedBuild*> cached =
+        dcache.InsertBuild(acquired.key, local, acquired.artifact_bytes);
+    if (!cached.ok()) {
+      if (config_.strict_cache_budget) return cached.status();
+      acquired.prepared = local;  // over-budget artifact stays private
+    } else {
+      acquired.prepared = *cached != nullptr ? *cached : local;
+    }
+    GJOIN_RETURN_NOT_OK(ChargeTransferFaults(query.device, injector,
+                                             pcie.DmaSeconds(build.bytes()),
+                                             "build", result));
+    return acquired;
+  };
+
   // Links this query's build-artifact ops into the merged graph: aliases
   // a same-device cache hit to its producer nodes, charges a replica
   // when another device already holds the build (over the peer
@@ -1061,12 +1098,11 @@ util::Status Session::ExecuteAttempt(int index, api::Strategy strategy,
   // re-partitioning from the host — on NVLink-class fabrics it is; on
   // the testbed's PCIe switch it is not), or registers a fresh
   // production for later reuse.
-  auto link_build_artifact = [&](const std::string& build_key,
-                                 sim::OpId h2d_op, sim::OpId part_op,
-                                 bool build_shared, double fresh_s,
-                                 uint64_t measured_bytes) {
+  auto link_build_artifact = [&](const AcquiredBuild& acquired,
+                                 sim::OpId h2d_op, sim::OpId part_op) {
+    const std::string& build_key = acquired.key;
     const auto reg = artifact_nodes_.find(build_key + device_tag);
-    if (build_shared) {
+    if (acquired.shared) {
       if (reg != artifact_nodes_.end()) {
         alias[h2d_op] = reg->second[0];
         alias[part_op] = reg->second[1];
@@ -1084,6 +1120,8 @@ util::Status Session::ExecuteAttempt(int index, api::Strategy strategy,
     if (source >= 0) {
       ++stats_.replicated_builds;
       const double peer_s = peer.PeerCopySeconds(artifact_bytes_[build_key]);
+      const double fresh_s =
+          pcie.DmaSeconds(build.bytes()) + acquired.prepared->parted.seconds;
       if (peer_s < fresh_s) {
         const NodeId src_part =
             artifact_nodes_[build_key + "@" + std::to_string(source)][1];
@@ -1105,7 +1143,7 @@ util::Status Session::ExecuteAttempt(int index, api::Strategy strategy,
     }
     if (dcache.Contains(build_key)) {
       produced.push_back({build_key + device_tag, {h2d_op, part_op}});
-      artifact_bytes_[build_key] = measured_bytes;
+      artifact_bytes_[build_key] = acquired.artifact_bytes;
     }
   };
 
@@ -1116,34 +1154,12 @@ util::Status Session::ExecuteAttempt(int index, api::Strategy strategy,
                                                  : OutputMode::kAggregate;
 
       // Build side: one partitioned form serves every probe against it.
-      const std::string build_key =
-          UploadCache::BuildKey(build, cfg.partition);
-      leases.Add(build_key);
       PreparedBuild local_build;
-      const PreparedBuild* prepared = dcache.AcquireBuild(build_key);
-      const bool build_shared = prepared != nullptr;
-      uint64_t build_artifact_bytes = 0;
-      if (build_shared) {
-        ++stats_.shared_build_hits;
-      } else {
-        const uint64_t before = dev->memory().used();
-        GJOIN_ASSIGN_OR_RETURN(
-            local_build,
-            gjoin::gpujoin::PreparePartitionedBuild(dev, build, cfg));
-        build_artifact_bytes = dev->memory().used() - before;
-        util::Result<const PreparedBuild*> cached = dcache.InsertBuild(
-            build_key, &local_build, build_artifact_bytes);
-        if (!cached.ok()) {
-          if (config_.strict_cache_budget) return cached.status();
-          prepared = &local_build;  // over-budget artifact stays private
-        } else {
-          prepared = *cached != nullptr ? *cached : &local_build;
-        }
-        GJOIN_RETURN_NOT_OK(ChargeTransferFaults(
-            query.device, injector, pcie.DmaSeconds(build.bytes()), "build",
-            result));
+      GJOIN_ASSIGN_OR_RETURN(const AcquiredBuild r_build,
+                             acquire_build(cfg, &local_build));
+      if (cfg.join.key_bits == 0) {
+        cfg.join.key_bits = r_build.prepared->key_bits;
       }
-      if (cfg.join.key_bits == 0) cfg.join.key_bits = prepared->key_bits;
 
       // Probe side: deduplicated raw upload, partitioned per query.
       const std::string probe_key = UploadCache::UploadKey(probe);
@@ -1175,27 +1191,9 @@ util::Status Session::ExecuteAttempt(int index, api::Strategy strategy,
           PartitionedRelation s_parted,
           gjoin::gpujoin::RadixPartition(dev, *s_dev, cfg.partition));
 
-      gjoin::gpujoin::OutputRing ring;
-      gjoin::gpujoin::OutputRing* ring_ptr = nullptr;
-      if (cfg.join.output == OutputMode::kMaterialize) {
-        const size_t capacity =
-            cfg.out_capacity != 0 ? cfg.out_capacity
-                                  : std::max<size_t>(probe.size(), 1);
-        GJOIN_ASSIGN_OR_RETURN(
-            ring, gjoin::gpujoin::OutputRing::Allocate(&dev->memory(),
-                                                       capacity));
-        ring_ptr = &ring;
-      }
       GJOIN_ASSIGN_OR_RETURN(
-          gjoin::gpujoin::CoPartitionJoinResult join_result,
-          gjoin::gpujoin::JoinCoPartitions(dev, prepared->parted,
-                                           s_parted, cfg.join, ring_ptr));
-
-      stats.matches = join_result.matches;
-      stats.payload_sum = join_result.payload_sum;
-      stats.partition_s = prepared->parted.seconds + s_parted.seconds;
-      stats.join_s = join_result.seconds;
-      stats.seconds = stats.partition_s + stats.join_s;
+          stats, gjoin::gpujoin::JoinPartedPair(dev, r_build.prepared->parted,
+                                                s_parted, cfg, probe.size()));
       // The one-time input transfer (the paper's in-GPU numbers assume
       // resident data; end-to-end reporting charges it separately).
       stats.transfer_s =
@@ -1206,28 +1204,25 @@ util::Status Session::ExecuteAttempt(int index, api::Strategy strategy,
       const sim::OpId h2d_r = solo.Add(
           sim::Engine::kCopyH2D, pcie.DmaSeconds(build.bytes()), {}, "h2d:R");
       const sim::OpId part_r =
-          solo.Add(sim::Engine::kComputeGpu, prepared->parted.seconds,
+          solo.Add(sim::Engine::kComputeGpu, r_build.prepared->parted.seconds,
                    {h2d_r}, "part:R");
       const sim::OpId h2d_s = solo.Add(
           sim::Engine::kCopyH2D, pcie.DmaSeconds(probe.bytes()), {}, "h2d:S");
       const sim::OpId part_s = solo.Add(
           sim::Engine::kComputeGpu, s_parted.seconds, {h2d_s}, "part:S");
-      solo.Add(sim::Engine::kComputeGpu, join_result.seconds,
-               {part_r, part_s}, "join");
+      solo.Add(sim::Engine::kComputeGpu, stats.join_s, {part_r, part_s},
+               "join");
 
       if (split) {
-        EmitSplitInGpu(index, graph, prepared->parted.seconds,
-                       s_parted.seconds, join_result.seconds, build_shared,
-                       dcache.Contains(build_key), probe_shared,
+        EmitSplitInGpu(index, graph, r_build.prepared->parted.seconds,
+                       s_parted.seconds, stats.join_s, r_build.shared,
+                       dcache.Contains(r_build.key), probe_shared,
                        dcache.Contains(probe_key));
         split_emitted = true;
         break;
       }
 
-      link_build_artifact(build_key, h2d_r, part_r, build_shared,
-                          pcie.DmaSeconds(build.bytes()) +
-                              prepared->parted.seconds,
-                          build_artifact_bytes);
+      link_build_artifact(r_build, h2d_r, part_r);
       const auto probe_reg = artifact_nodes_.find(probe_key + device_tag);
       if (probe_shared && probe_reg != artifact_nodes_.end()) {
         alias[h2d_s] = probe_reg->second[0];
@@ -1244,50 +1239,23 @@ util::Status Session::ExecuteAttempt(int index, api::Strategy strategy,
       stream_cfg.join = join_cfg;
       stream_cfg.materialize_to_host = query.config.materialize;
 
+      // An empty build is never uploaded: the run reads no build side.
       PreparedBuild local_build;
-      const PreparedBuild* prepared = nullptr;
-      std::string build_key;
-      bool build_shared = false;
-      uint64_t build_artifact_bytes = 0;
+      AcquiredBuild r_build;
+      r_build.prepared = &local_build;
       if (!build.empty()) {
-        build_key = UploadCache::BuildKey(build, stream_cfg.join.partition);
-        leases.Add(build_key);
-        prepared = dcache.AcquireBuild(build_key);
-        build_shared = prepared != nullptr;
-        if (build_shared) {
-          ++stats_.shared_build_hits;
-        } else {
-          const uint64_t before = dev->memory().used();
-          GJOIN_ASSIGN_OR_RETURN(local_build,
-                                 gjoin::gpujoin::PreparePartitionedBuild(
-                                     dev, build, stream_cfg.join));
-          build_artifact_bytes = dev->memory().used() - before;
-          util::Result<const PreparedBuild*> cached = dcache.InsertBuild(
-              build_key, &local_build, build_artifact_bytes);
-          if (!cached.ok()) {
-            if (config_.strict_cache_budget) return cached.status();
-            prepared = &local_build;  // over-budget artifact stays private
-          } else {
-            prepared = *cached != nullptr ? *cached : &local_build;
-          }
-          GJOIN_RETURN_NOT_OK(ChargeTransferFaults(
-              query.device, injector, pcie.DmaSeconds(build.bytes()), "build",
-              result));
-        }
+        GJOIN_ASSIGN_OR_RETURN(r_build,
+                               acquire_build(stream_cfg.join, &local_build));
       }
 
       GJOIN_ASSIGN_OR_RETURN(
           outofgpu::StreamingProbeRun run,
           outofgpu::StreamingProbeExecute(dev, build, probe, stream_cfg,
-                                          prepared));
+                                          *r_build.prepared));
       stats = run.stats;
       solo = std::move(run.timeline);
-      if (!build_key.empty()) {
-        link_build_artifact(build_key, run.build_h2d, run.build_part,
-                            build_shared,
-                            pcie.DmaSeconds(build.bytes()) +
-                                prepared->parted.seconds,
-                            build_artifact_bytes);
+      if (!build.empty()) {
+        link_build_artifact(r_build, run.build_h2d, run.build_part);
       }
       break;
     }
@@ -1303,36 +1271,41 @@ util::Status Session::ExecuteAttempt(int index, api::Strategy strategy,
       const hw::numa::PlacementPlanner planner(dev->spec());
       co_cfg.staging = planner.Plan(query.device, co_cfg.cpu.threads).stage;
 
-      // Reuse the CPU pre-partitioning of relations shared with earlier
-      // co-processing queries (deterministic, so one partitioned form
-      // serves them all).
+      // CPU pre-partitioning is deterministic, so one partitioned form of
+      // a relation serves every co-processing query over it: reuse the
+      // session's copy, or partition here and keep the result once the
+      // plan succeeds.
+      const hw::CpuCostModel cpu_model(dev->spec().cpu);
+      uint64_t shared_part_bytes = 0;
+      auto host_parts = [&](const data::Relation& rel, const std::string& key,
+                            cpu::HostPartitions* fresh)
+          -> util::Result<const cpu::HostPartitions*> {
+        if (const auto it = host_parts_.find(key); it != host_parts_.end()) {
+          shared_part_bytes += rel.bytes();
+          ++stats_.coprocess_part_hits;
+          return &it->second;
+        }
+        GJOIN_ASSIGN_OR_RETURN(
+            *fresh, cpu::CpuRadixPartition(rel, co_cfg.cpu, cpu_model));
+        return fresh;
+      };
       const std::string build_parts_key = HostPartsKey(build, co_cfg.cpu);
       const std::string probe_parts_key = HostPartsKey(probe, co_cfg.cpu);
-      const cpu::HostPartitions* build_parts = nullptr;
-      const cpu::HostPartitions* probe_parts = nullptr;
-      uint64_t shared_part_bytes = 0;
-      if (const auto it = host_parts_.find(build_parts_key);
-          it != host_parts_.end()) {
-        build_parts = &it->second;
-        shared_part_bytes += build.bytes();
-        ++stats_.coprocess_part_hits;
-      }
-      if (const auto it = host_parts_.find(probe_parts_key);
-          it != host_parts_.end()) {
-        probe_parts = &it->second;
-        shared_part_bytes += probe.bytes();
-        ++stats_.coprocess_part_hits;
-      }
       cpu::HostPartitions fresh_build, fresh_probe;
       GJOIN_ASSIGN_OR_RETURN(
+          const cpu::HostPartitions* build_parts,
+          host_parts(build, build_parts_key, &fresh_build));
+      GJOIN_ASSIGN_OR_RETURN(
+          const cpu::HostPartitions* probe_parts,
+          host_parts(probe, probe_parts_key, &fresh_probe));
+      GJOIN_ASSIGN_OR_RETURN(
           outofgpu::CoProcessPlan plan,
-          outofgpu::PlanCoProcessJoinShared(dev, build, probe, co_cfg,
-                                            build_parts, probe_parts,
-                                            &fresh_build, &fresh_probe));
-      if (build_parts == nullptr && !fresh_build.parts.empty()) {
+          outofgpu::PlanCoProcessJoin(dev, *build_parts, *probe_parts,
+                                      co_cfg));
+      if (build_parts == &fresh_build) {
         host_parts_.emplace(build_parts_key, std::move(fresh_build));
       }
-      if (probe_parts == nullptr && !fresh_probe.parts.empty()) {
+      if (probe_parts == &fresh_probe) {
         host_parts_.emplace(probe_parts_key, std::move(fresh_probe));
       }
 

@@ -6,22 +6,27 @@
 
 namespace gjoin::gpujoin {
 
-namespace {
+int KeyBits(uint32_t max_key) {
+  return util::Log2Floor(std::max<uint32_t>(max_key, 1)) + 1;
+}
 
-/// Join phase shared by all entry points: optional output ring sized to
-/// the probe cardinality, the co-partition join pass, and the stats
-/// roll-up over both partitioned inputs.
+int KeyBits(std::span<const uint32_t> build_keys) {
+  uint32_t max_key = 1;
+  for (uint32_t k : build_keys) max_key = std::max(max_key, k);
+  return KeyBits(max_key);
+}
+
 util::Result<JoinStats> JoinPartedPair(sim::Device* device,
-                                       const PartitionedRelation& r_parted,
-                                       const PartitionedRelation& s_parted,
-                                       const PartitionedJoinConfig& cfg,
+                                       const PartitionedRelation& build,
+                                       const PartitionedRelation& probe,
+                                       const PartitionedJoinConfig& config,
                                        size_t probe_size) {
   OutputRing ring;
   OutputRing* ring_ptr = nullptr;
-  if (cfg.join.output == OutputMode::kMaterialize) {
+  if (config.join.output == OutputMode::kMaterialize) {
     const size_t capacity =
-        cfg.out_capacity != 0 ? cfg.out_capacity
-                              : std::max<size_t>(probe_size, 1);
+        config.out_capacity != 0 ? config.out_capacity
+                                 : std::max<size_t>(probe_size, 1);
     GJOIN_ASSIGN_OR_RETURN(ring,
                            OutputRing::Allocate(&device->memory(), capacity));
     ring_ptr = &ring;
@@ -29,73 +34,30 @@ util::Result<JoinStats> JoinPartedPair(sim::Device* device,
 
   GJOIN_ASSIGN_OR_RETURN(
       CoPartitionJoinResult join_result,
-      JoinCoPartitions(device, r_parted, s_parted, cfg.join, ring_ptr));
+      JoinCoPartitions(device, build, probe, config.join, ring_ptr));
 
   JoinStats stats;
   stats.matches = join_result.matches;
   stats.payload_sum = join_result.payload_sum;
-  stats.partition_s = r_parted.seconds + s_parted.seconds;
+  stats.partition_s = build.seconds + probe.seconds;
   stats.join_s = join_result.seconds;
   stats.seconds = stats.partition_s + stats.join_s;
   return stats;
 }
 
-/// Shared implementation; when `consume` is set, each input's columns
-/// are released right after that relation is partitioned.
-util::Result<JoinStats> PartitionedJoinImpl(sim::Device* device,
-                                            const DeviceRelation& build,
-                                            const DeviceRelation& probe,
-                                            DeviceRelation* owned_build,
-                                            DeviceRelation* owned_probe,
-                                            const PartitionedJoinConfig& config) {
-  PartitionedJoinConfig cfg = config;
-  const size_t probe_size = probe.size;
-  if (cfg.join.key_bits == 0) {
-    // Keys are positive and bounded by the relation sizes in the paper's
-    // workloads; derive the significant bit count for the ballot loop.
-    uint32_t max_key = 1;
-    for (size_t i = 0; i < build.size; ++i) {
-      max_key = std::max(max_key, build.keys[i]);
-    }
-    cfg.join.key_bits = util::Log2Floor(max_key) + 1;
-  }
-
-  PartitionedRelation r_parted, s_parted;
-  if (owned_build != nullptr) {
-    GJOIN_ASSIGN_OR_RETURN(
-        r_parted,
-        RadixPartitionConsuming(device, std::move(*owned_build),
-                                cfg.partition));
-  } else {
-    GJOIN_ASSIGN_OR_RETURN(r_parted,
-                           RadixPartition(device, build, cfg.partition));
-  }
-  if (owned_probe != nullptr) {
-    GJOIN_ASSIGN_OR_RETURN(
-        s_parted,
-        RadixPartitionConsuming(device, std::move(*owned_probe),
-                                cfg.partition));
-  } else {
-    GJOIN_ASSIGN_OR_RETURN(s_parted,
-                           RadixPartition(device, probe, cfg.partition));
-  }
-
-  return JoinPartedPair(device, r_parted, s_parted, cfg, probe_size);
-}
-
-}  // namespace
-
 util::Result<JoinStats> PartitionedJoin(sim::Device* device,
                                         const DeviceRelation& build,
                                         const DeviceRelation& probe,
                                         const PartitionedJoinConfig& config) {
-  return PartitionedJoinImpl(device, build, probe, nullptr, nullptr, config);
-}
-
-util::Result<JoinStats> PartitionedJoinConsuming(
-    sim::Device* device, DeviceRelation build, DeviceRelation probe,
-    const PartitionedJoinConfig& config) {
-  return PartitionedJoinImpl(device, build, probe, &build, &probe, config);
+  PartitionedJoinConfig cfg = config;
+  if (cfg.join.key_bits == 0) {
+    cfg.join.key_bits = KeyBits({build.keys.data(), build.size});
+  }
+  GJOIN_ASSIGN_OR_RETURN(PartitionedRelation r_parted,
+                         RadixPartition(device, build, cfg.partition));
+  GJOIN_ASSIGN_OR_RETURN(PartitionedRelation s_parted,
+                         RadixPartition(device, probe, cfg.partition));
+  return JoinPartedPair(device, r_parted, s_parted, cfg, probe.size);
 }
 
 util::Result<JoinStats> PartitionedJoinChunkedConsuming(
@@ -103,12 +65,8 @@ util::Result<JoinStats> PartitionedJoinChunkedConsuming(
     const PartitionedJoinConfig& config) {
   PartitionedJoinConfig cfg = config;
   const size_t probe_size = probe.size();
-  if (cfg.join.key_bits == 0) {
-    // Same derivation as the contiguous path: scan before the input is
-    // consumed (keys start at 1, so the empty floor is max_key = 1).
-    const uint32_t max_key = std::max<uint32_t>(1, build.MaxKey());
-    cfg.join.key_bits = util::Log2Floor(max_key) + 1;
-  }
+  // Derived before the input is consumed.
+  if (cfg.join.key_bits == 0) cfg.join.key_bits = KeyBits(build.MaxKey());
 
   GJOIN_ASSIGN_OR_RETURN(
       PartitionedRelation r_parted,
@@ -127,11 +85,7 @@ util::Result<PreparedBuild> PreparePartitionedBuild(
     const PartitionedJoinConfig& config) {
   PreparedBuild prepared;
   prepared.key_bits = config.join.key_bits;
-  if (prepared.key_bits == 0) {
-    uint32_t max_key = 1;
-    for (uint32_t k : build.keys) max_key = std::max(max_key, k);
-    prepared.key_bits = util::Log2Floor(max_key) + 1;
-  }
+  if (prepared.key_bits == 0) prepared.key_bits = KeyBits(build.keys);
   GJOIN_ASSIGN_OR_RETURN(DeviceRelation r_dev,
                          DeviceRelation::Upload(device, build));
   GJOIN_ASSIGN_OR_RETURN(

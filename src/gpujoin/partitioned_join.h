@@ -5,6 +5,9 @@
 #ifndef GJOIN_GPUJOIN_PARTITIONED_JOIN_H_
 #define GJOIN_GPUJOIN_PARTITIONED_JOIN_H_
 
+#include <cstdint>
+#include <span>
+
 #include "src/data/relation.h"
 #include "src/gpujoin/join_copartitions.h"
 #include "src/gpujoin/radix_partition.h"
@@ -24,6 +27,25 @@ struct PartitionedJoinConfig {
   size_t out_capacity = 0;
 };
 
+/// Significant key bits of a join whose largest build key is `max_key`,
+/// for configs that leave join.key_bits 0. Keys start at 1, so an empty
+/// build counts as max_key = 1.
+int KeyBits(uint32_t max_key);
+
+/// KeyBits over the largest key of a build key column.
+int KeyBits(std::span<const uint32_t> build_keys);
+
+/// The join phase every partitioned entry point ends in: allocates the
+/// materialized-output ring (config.out_capacity pairs, or `probe_size`
+/// when 0), joins the co-partitions, and rolls both inputs' partitioning
+/// seconds into the stats. config.join.key_bits must already be derived.
+[[nodiscard]]
+util::Result<JoinStats> JoinPartedPair(sim::Device* device,
+                                       const PartitionedRelation& build,
+                                       const PartitionedRelation& probe,
+                                       const PartitionedJoinConfig& config,
+                                       size_t probe_size);
+
 /// Runs the partitioned join over two device-resident relations and
 /// returns verified counts plus modeled per-phase timing. The config's
 /// join.key_bits is auto-derived from the key domain when 0.
@@ -33,20 +55,12 @@ util::Result<JoinStats> PartitionedJoin(sim::Device* device,
                                         const DeviceRelation& probe,
                                         const PartitionedJoinConfig& config);
 
-/// Like PartitionedJoin but takes ownership of the inputs and frees each
-/// relation's raw columns as soon as its partitioned form exists — the
-/// standard device-memory discipline of real implementations, and what
-/// lets the larger build:probe ratios of Fig. 8 fit in device memory.
-[[nodiscard]]
-util::Result<JoinStats> PartitionedJoinConsuming(
-    sim::Device* device, DeviceRelation build, DeviceRelation probe,
-    const PartitionedJoinConfig& config);
-
-/// Like PartitionedJoinConsuming over the concatenation of each input's
-/// chunks (see ChunkedDeviceInput): the first partitioning pass walks
-/// and releases the staged chunks in place, so peak residency never
-/// holds raw input plus partitioned form. Stats are bit-identical to
-/// PartitionedJoin over contiguous copies of the same tuples.
+/// Like PartitionedJoin over the concatenation of each input's chunks
+/// (see ChunkedDeviceInput), taking ownership of them: the first
+/// partitioning pass walks and releases the staged chunks in place, so
+/// peak residency never holds raw input plus partitioned form. Stats are
+/// bit-identical to PartitionedJoin over contiguous copies of the same
+/// tuples.
 [[nodiscard]]
 util::Result<JoinStats> PartitionedJoinChunkedConsuming(
     sim::Device* device, ChunkedDeviceInput build, ChunkedDeviceInput probe,

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "src/hw/numa.h"
 #include "src/hw/pcie.h"
 #include "src/sim/timeline.h"
 #include "src/util/bits.h"
-#include "src/util/thread_pool.h"
 
 namespace gjoin::outofgpu {
 
@@ -16,82 +16,50 @@ using gjoin::gpujoin::OutputMode;
 
 namespace {
 
-/// Concatenates a subset of host partitions into one relation. The
-/// per-partition copies land at precomputed offsets, so they run in
-/// parallel over the thread pool (byte-identical to the serial append).
-data::Relation ConcatParts(const cpu::HostPartitions& parts,
-                           const std::vector<uint32_t>& which) {
-  data::Relation out;
-  std::vector<size_t> offsets(which.size());
-  size_t total = 0;
-  for (size_t j = 0; j < which.size(); ++j) {
-    offsets[j] = total;
-    total += parts.parts[which[j]].size();
-  }
-  out.keys.resize(total);
-  out.payloads.resize(total);
-  util::ThreadPool::Default()->ParallelForRanges(
-      which.size(), [&](size_t /*worker*/, size_t lo, size_t hi) {
-        for (size_t j = lo; j < hi; ++j) {
-          const data::Relation& part = parts.parts[which[j]];
-          std::copy(part.keys.begin(), part.keys.end(),
-                    out.keys.begin() + offsets[j]);
-          std::copy(part.payloads.begin(), part.payloads.end(),
-                    out.payloads.begin() + offsets[j]);
-        }
-      });
-  return out;
+// A borrowed partition column is copied into the staged input, a
+// consumed one moved.
+std::vector<uint32_t> StageColumn(const std::vector<uint32_t>& column) {
+  return column;
+}
+std::vector<uint32_t> StageColumn(std::vector<uint32_t>& column) {
+  return std::move(column);
 }
 
-}  // namespace
-
-util::Result<CoProcessPlan> PlanCoProcessJoin(sim::Device* device,
-                                              const data::Relation& build,
-                                              const data::Relation& probe,
-                                              const CoProcessConfig& config) {
-  return PlanCoProcessJoinShared(device, build, probe, config, nullptr,
-                                 nullptr, nullptr, nullptr);
-}
-
-util::Result<CoProcessPlan> PlanCoProcessJoinShared(
-    sim::Device* device, const data::Relation& build,
-    const data::Relation& probe, const CoProcessConfig& config,
-    const cpu::HostPartitions* build_parts,
-    const cpu::HostPartitions* probe_parts,
-    cpu::HostPartitions* out_build_parts,
-    cpu::HostPartitions* out_probe_parts) {
+/// The one planning body. `Parts` is `const cpu::HostPartitions` for the
+/// borrowed form and `cpu::HostPartitions` for the consuming form.
+template <typename Parts>
+util::Result<CoProcessPlan> PlanFromPartitions(sim::Device* device,
+                                               Parts& build_parts,
+                                               Parts& probe_parts,
+                                               const CoProcessConfig& config) {
   const hw::HardwareSpec& spec = device->spec();
-  const hw::CpuCostModel cpu_model(spec.cpu);
-
-  // ---- 1. Host partitioning (functional), shared when precomputed ----
-  cpu::HostPartitions r_local, s_local;
-  if (build_parts == nullptr) {
-    GJOIN_ASSIGN_OR_RETURN(
-        r_local, cpu::CpuRadixPartition(build, config.cpu, cpu_model));
-    build_parts = &r_local;
+  // Every partition index below is read on both sides.
+  const int bits = config.cpu.radix_bits;
+  const auto has_fanout = [bits](const cpu::HostPartitions& parts) {
+    return parts.radix_bits == bits && bits >= 0 && bits < 32 &&
+           parts.parts.size() == size_t{1} << bits;
+  };
+  if (!has_fanout(build_parts) || !has_fanout(probe_parts)) {
+    return util::Status::Invalid(
+        "PlanCoProcessJoin: partitions disagree with config.cpu.radix_bits");
   }
-  if (probe_parts == nullptr) {
-    GJOIN_ASSIGN_OR_RETURN(
-        s_local, cpu::CpuRadixPartition(probe, config.cpu, cpu_model));
-    probe_parts = &s_local;
-  }
-  const cpu::HostPartitions& r_parts = *build_parts;
-  const cpu::HostPartitions& s_parts = *probe_parts;
+  const size_t fanout = build_parts.parts.size();
 
-  // ---- 2. Working sets from the build side's partition sizes ----
+  // ---- 1. Working sets from the build side's partition sizes ----
+  // (Host partitioning happened at the caller.)
   WorkingSetConfig packing = config.packing;
   if (packing.budget_bytes == 0) {
     packing.budget_bytes = static_cast<uint64_t>(
         static_cast<double>(spec.gpu.device_memory_bytes) * 0.45);
   }
-  std::vector<uint64_t> part_bytes(r_parts.parts.size());
-  for (size_t p = 0; p < r_parts.parts.size(); ++p) {
-    part_bytes[p] = r_parts.parts[p].bytes();
+  std::vector<uint64_t> part_bytes(fanout);
+  for (size_t p = 0; p < fanout; ++p) {
+    part_bytes[p] = build_parts.parts[p].bytes();
   }
   GJOIN_ASSIGN_OR_RETURN(std::vector<WorkingSet> sets,
                          PackWorkingSets(part_bytes, packing));
 
-  // ---- 3. Per-working-set functional join ----
+  // ---- 2. Per-working-set functional join ----
   // Functional execution batches each working set on a scratch device
   // with relaxed capacity (see header); planning used the real budget.
   hw::HardwareSpec scratch_spec = spec;
@@ -104,100 +72,12 @@ util::Result<CoProcessPlan> PlanCoProcessJoinShared(
                              ? OutputMode::kMaterialize
                              : OutputMode::kAggregate;
   if (join_cfg.join.key_bits == 0) {
-    uint32_t max_key = 1;
-    for (uint32_t k : build.keys) max_key = std::max(max_key, k);
-    join_cfg.join.key_bits = util::Log2Floor(max_key) + 1;
-  }
-
-  CoProcessPlan plan;
-  plan.total_input_bytes = build.bytes() + probe.bytes();
-  for (size_t set_index = 0; set_index < sets.size(); ++set_index) {
-    const WorkingSet& ws = sets[set_index];
-    data::Relation r_ws = ConcatParts(r_parts, ws.partitions);
-    data::Relation s_ws = ConcatParts(s_parts, ws.partitions);
-    if (r_ws.empty() || s_ws.empty()) continue;
-
-    GJOIN_ASSIGN_OR_RETURN(
-        gjoin::gpujoin::DeviceRelation r_dev,
-        gjoin::gpujoin::DeviceRelation::Upload(&scratch, r_ws));
-    GJOIN_ASSIGN_OR_RETURN(
-        gjoin::gpujoin::DeviceRelation s_dev,
-        gjoin::gpujoin::DeviceRelation::Upload(&scratch, s_ws));
-    GJOIN_ASSIGN_OR_RETURN(
-        JoinStats ws_join,
-        gjoin::gpujoin::PartitionedJoin(&scratch, r_dev, s_dev, join_cfg));
-
-    // Oversized singleton sets: the R side exceeds the budget, so S is
-    // re-streamed once per budget-sized R slice (GPU sub-partitioning,
-    // Section IV-B) — the skew penalty of Fig. 18.
-    const uint64_t restreams =
-        std::max<uint64_t>(1, util::CeilDiv(ws.bytes, packing.budget_bytes));
-
-    CoProcessPlan::WorkingSetRun run;
-    run.matches = ws_join.matches;
-    run.payload_sum = ws_join.payload_sum;
-    run.gpu_seconds = ws_join.seconds;
-    run.join_s = ws_join.join_s;
-    run.partition_s = ws_join.partition_s;
-    run.transfer_bytes = r_ws.bytes() + s_ws.bytes() * restreams;
-    run.set_index = set_index;
-    plan.runs.push_back(run);
-  }
-
-  // Hand freshly-computed partitions to the caller's cache.
-  if (out_build_parts != nullptr && build_parts == &r_local) {
-    *out_build_parts = std::move(r_local);
-  }
-  if (out_probe_parts != nullptr && probe_parts == &s_local) {
-    *out_probe_parts = std::move(s_local);
-  }
-  return plan;
-}
-
-util::Result<CoProcessPlan> PlanCoProcessJoinConsuming(
-    sim::Device* device, cpu::HostPartitions build_parts,
-    cpu::HostPartitions probe_parts, const CoProcessConfig& config) {
-  const hw::HardwareSpec& spec = device->spec();
-  if (build_parts.radix_bits != config.cpu.radix_bits ||
-      probe_parts.radix_bits != config.cpu.radix_bits) {
-    return util::Status::Invalid(
-        "PlanCoProcessJoinConsuming: partitions disagree with "
-        "config.cpu.radix_bits");
-  }
-
-  // ---- 2. Working sets from the build side's partition sizes ----
-  // (Phase 1, host partitioning, happened at the caller — typically fed
-  // chunk-at-a-time by a streaming generator.)
-  WorkingSetConfig packing = config.packing;
-  if (packing.budget_bytes == 0) {
-    packing.budget_bytes = static_cast<uint64_t>(
-        static_cast<double>(spec.gpu.device_memory_bytes) * 0.45);
-  }
-  std::vector<uint64_t> part_bytes(build_parts.parts.size());
-  for (size_t p = 0; p < build_parts.parts.size(); ++p) {
-    part_bytes[p] = build_parts.parts[p].bytes();
-  }
-  GJOIN_ASSIGN_OR_RETURN(std::vector<WorkingSet> sets,
-                         PackWorkingSets(part_bytes, packing));
-
-  // ---- 3. Per-working-set functional join ----
-  hw::HardwareSpec scratch_spec = spec;
-  scratch_spec.gpu.device_memory_bytes = SIZE_MAX / 4;
-  sim::Device scratch(scratch_spec);
-
-  gjoin::gpujoin::PartitionedJoinConfig join_cfg = config.join;
-  join_cfg.partition.base_shift = config.cpu.radix_bits;
-  join_cfg.join.output = config.materialize_to_host
-                             ? OutputMode::kMaterialize
-                             : OutputMode::kAggregate;
-  if (join_cfg.join.key_bits == 0) {
-    // Partitioning permutes the keys, so the max over the partitions is
-    // the max over the original relation.
-    uint32_t max_key = 1;
+    // Partitioning permutes the keys, so the largest over the partitions
+    // is the largest over the relation.
     for (const data::Relation& part : build_parts.parts) {
-      for (uint32_t k : part.keys) max_key = std::max(max_key, k);
+      join_cfg.join.key_bits =
+          std::max(join_cfg.join.key_bits, gjoin::gpujoin::KeyBits(part.keys));
     }
-    join_cfg.join.key_bits = util::Log2Floor(max_key) + 1;
   }
 
   CoProcessPlan plan;
@@ -211,16 +91,16 @@ util::Result<CoProcessPlan> PlanCoProcessJoinConsuming(
       s_bytes += probe_parts.parts[p].bytes();
     }
 
-    // Stage the set's partition columns in ConcatParts order; the join's
-    // first pass walks and frees them chunk by chunk. The moved-from
+    // Stage the set's partition columns in partition-list order; the
+    // join's first pass walks and frees them chunk by chunk. Consumed
     // partitions stay behind as empty shells, releasing this set's share
     // of the host footprint even when the set is skipped as empty.
     gjoin::gpujoin::ChunkedDeviceInput r_in, s_in;
     for (uint32_t p : ws.partitions) {
-      r_in.Add(std::move(build_parts.parts[p].keys),
-               std::move(build_parts.parts[p].payloads));
-      s_in.Add(std::move(probe_parts.parts[p].keys),
-               std::move(probe_parts.parts[p].payloads));
+      r_in.Add(StageColumn(build_parts.parts[p].keys),
+               StageColumn(build_parts.parts[p].payloads));
+      s_in.Add(StageColumn(probe_parts.parts[p].keys),
+               StageColumn(probe_parts.parts[p].payloads));
     }
     if (r_bytes == 0 || s_bytes == 0) continue;
 
@@ -229,6 +109,9 @@ util::Result<CoProcessPlan> PlanCoProcessJoinConsuming(
         gjoin::gpujoin::PartitionedJoinChunkedConsuming(
             &scratch, std::move(r_in), std::move(s_in), join_cfg));
 
+    // Oversized singleton sets: the R side exceeds the budget, so S is
+    // re-streamed once per budget-sized R slice (GPU sub-partitioning,
+    // Section IV-B) — the skew penalty of Fig. 18.
     const uint64_t restreams =
         std::max<uint64_t>(1, util::CeilDiv(ws.bytes, packing.budget_bytes));
 
@@ -243,6 +126,20 @@ util::Result<CoProcessPlan> PlanCoProcessJoinConsuming(
     plan.runs.push_back(run);
   }
   return plan;
+}
+
+}  // namespace
+
+util::Result<CoProcessPlan> PlanCoProcessJoin(
+    sim::Device* device, const cpu::HostPartitions& build_parts,
+    const cpu::HostPartitions& probe_parts, const CoProcessConfig& config) {
+  return PlanFromPartitions(device, build_parts, probe_parts, config);
+}
+
+util::Result<CoProcessPlan> PlanCoProcessJoinConsuming(
+    sim::Device* device, cpu::HostPartitions build_parts,
+    cpu::HostPartitions probe_parts, const CoProcessConfig& config) {
+  return PlanFromPartitions(device, build_parts, probe_parts, config);
 }
 
 util::Result<CoProcessRun> CoProcessExecutePlanned(
@@ -381,21 +278,24 @@ util::Result<CoProcessRun> CoProcessExecutePlanned(
   return run;
 }
 
-util::Result<JoinStats> CoProcessJoinPlanned(sim::Device* device,
-                                             const CoProcessPlan& plan,
-                                             const CoProcessConfig& config) {
-  GJOIN_ASSIGN_OR_RETURN(CoProcessRun run,
-                         CoProcessExecutePlanned(device, plan, config));
-  return run.stats;
-}
-
 util::Result<JoinStats> CoProcessJoin(sim::Device* device,
                                       const data::Relation& build,
                                       const data::Relation& probe,
                                       const CoProcessConfig& config) {
-  GJOIN_ASSIGN_OR_RETURN(CoProcessPlan plan,
-                         PlanCoProcessJoin(device, build, probe, config));
-  return CoProcessJoinPlanned(device, plan, config);
+  const hw::CpuCostModel cpu_model(device->spec().cpu);
+  GJOIN_ASSIGN_OR_RETURN(
+      cpu::HostPartitions build_parts,
+      cpu::CpuRadixPartition(build, config.cpu, cpu_model));
+  GJOIN_ASSIGN_OR_RETURN(
+      cpu::HostPartitions probe_parts,
+      cpu::CpuRadixPartition(probe, config.cpu, cpu_model));
+  GJOIN_ASSIGN_OR_RETURN(
+      CoProcessPlan plan,
+      PlanCoProcessJoinConsuming(device, std::move(build_parts),
+                                 std::move(probe_parts), config));
+  GJOIN_ASSIGN_OR_RETURN(CoProcessRun run,
+                         CoProcessExecutePlanned(device, plan, config));
+  return run.stats;
 }
 
 }  // namespace gjoin::outofgpu

@@ -64,22 +64,24 @@ struct CoProcessConfig {
   /// Input bytes whose CPU pre-partitioning an earlier query of the same
   /// session already performed on a shared relation (subtracted from the
   /// first working set's CPU phase when timing the pipeline). Timing
-  /// only: functional sharing is the caller passing precomputed
-  /// HostPartitions to PlanCoProcessJoinShared.
+  /// only: functional sharing is the caller planning several queries
+  /// from the same HostPartitions (the borrowed PlanCoProcessJoin).
   uint64_t prepartitioned_bytes = 0;
 };
 
-/// Runs the co-processing join over two host relations.
+/// Runs the co-processing join over two host relations: partitions both
+/// on the host, plans with PlanCoProcessJoinConsuming and times the
+/// pipeline with CoProcessExecutePlanned.
 [[nodiscard]]
 util::Result<gjoin::gpujoin::JoinStats> CoProcessJoin(
     sim::Device* device, const data::Relation& build,
     const data::Relation& probe, const CoProcessConfig& config);
 
-/// \brief The functional half of a co-processing run: host partitioning,
-/// working-set packing and every per-set GPU join, none of which depend
-/// on the pipeline's resource parameters (CPU thread count, staging
-/// policy, NUMA layout). Thread-scaling sweeps plan once and re-time the
-/// pipeline per configuration.
+/// \brief The functional half of a co-processing run over host-partitioned
+/// inputs: working-set packing and every per-set GPU join, none of which
+/// depend on the pipeline's resource parameters (CPU thread count,
+/// staging policy, NUMA layout). Thread-scaling sweeps plan once and
+/// re-time the pipeline per configuration.
 struct CoProcessPlan {
   struct WorkingSetRun {
     uint64_t matches = 0;
@@ -98,40 +100,30 @@ struct CoProcessPlan {
   uint64_t total_input_bytes = 0;
 };
 
-/// Executes the functional phase once (config's pipeline parameters are
-/// ignored except cpu partitioning geometry, packing and the GPU join
-/// config).
-[[nodiscard]]
-util::Result<CoProcessPlan> PlanCoProcessJoin(sim::Device* device,
-                                              const data::Relation& build,
-                                              const data::Relation& probe,
-                                              const CoProcessConfig& config);
-
-/// Plans with host partitions shared across queries: when
-/// `build_parts`/`probe_parts` is non-null it must be
-/// CpuRadixPartition(build/probe, config.cpu) and is reused instead of
-/// re-partitioning (CPU pre-partitioning is deterministic, so one
-/// partitioned form serves every query over the relation). When an input
-/// *was* partitioned here and the matching `out_*` pointer is non-null,
-/// the fresh partitions are moved out for the caller to cache. The
-/// returned plan is identical to PlanCoProcessJoin's.
-[[nodiscard]]
-util::Result<CoProcessPlan> PlanCoProcessJoinShared(
-    sim::Device* device, const data::Relation& build,
-    const data::Relation& probe, const CoProcessConfig& config,
-    const cpu::HostPartitions* build_parts,
-    const cpu::HostPartitions* probe_parts,
-    cpu::HostPartitions* out_build_parts, cpu::HostPartitions* out_probe_parts);
-
-/// Plans from already host-partitioned inputs, consuming them: each
-/// working set's partition columns are staged chunk-wise into the GPU
-/// join (gpujoin::ChunkedDeviceInput) and released as the join's first
-/// pass reads them, so peak residency is the partitioned input — never
-/// input plus a concatenated working-set copy. `build_parts` /
+/// Executes the functional phase once over host-partitioned inputs
+/// (config's pipeline parameters are ignored except the partitioning
+/// geometry, packing and the GPU join config). `build_parts` /
 /// `probe_parts` must be what CpuRadixPartition(build/probe, config.cpu)
 /// returns (StreamingCpuPartitioner produces exactly that without ever
-/// materializing the relations). The returned plan is bit-identical to
-/// PlanCoProcessJoin over the original relations.
+/// materializing the relations); anything else — a different radix_bits
+/// or a parts vector other than 1 << config.cpu.radix_bits long — is
+/// Invalid. Each working set's partition columns are staged chunk-wise
+/// into the GPU join (gpujoin::ChunkedDeviceInput), whose first pass
+/// releases them as it reads them.
+///
+/// This borrowed form copies each set's partitions into the staged input
+/// and leaves the caller's partitions untouched, so one partitioned form
+/// serves every plan over the same relations (CPU pre-partitioning is
+/// deterministic).
+[[nodiscard]]
+util::Result<CoProcessPlan> PlanCoProcessJoin(
+    sim::Device* device, const cpu::HostPartitions& build_parts,
+    const cpu::HostPartitions& probe_parts, const CoProcessConfig& config);
+
+/// The consuming form of PlanCoProcessJoin: each set's partitions are
+/// moved into the staged input instead of copied, so peak residency is
+/// the partitioned input — never input plus a working-set copy. The
+/// returned plan is identical to the borrowed form's.
 [[nodiscard]]
 util::Result<CoProcessPlan> PlanCoProcessJoinConsuming(
     sim::Device* device, cpu::HostPartitions build_parts,
@@ -149,14 +141,6 @@ struct CoProcessRun {
 /// stats together with the op DAG.
 [[nodiscard]]
 util::Result<CoProcessRun> CoProcessExecutePlanned(
-    sim::Device* device, const CoProcessPlan& plan,
-    const CoProcessConfig& config);
-
-/// Times the pipeline of a prepared plan under `config`. Equals
-/// CoProcessJoin(device, build, probe, config) when the plan was built
-/// with the same partitioning/packing/join configuration.
-[[nodiscard]]
-util::Result<gjoin::gpujoin::JoinStats> CoProcessJoinPlanned(
     sim::Device* device, const CoProcessPlan& plan,
     const CoProcessConfig& config);
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/gpujoin/join_copartitions.h"
-#include "src/gpujoin/output_ring.h"
 #include "src/hw/pcie.h"
 #include "src/sim/timeline.h"
 #include "src/util/bits.h"
@@ -12,50 +10,31 @@ namespace gjoin::outofgpu {
 
 using gpujoin::JoinStats;
 using gpujoin::OutputMode;
+using gpujoin::PartitionedJoinConfig;
 using gpujoin::PartitionedRelation;
 
 util::Result<StreamingProbeRun> StreamingProbeExecute(
     sim::Device* device, const data::Relation& build,
     const data::Relation& probe, const StreamingProbeConfig& config,
-    const gpujoin::PreparedBuild* prepared) {
+    const gpujoin::PreparedBuild& prepared) {
   StreamingProbeRun run;
   if (build.empty()) {
     return run;
   }
   const hw::PcieModel pcie(device->spec().pcie);
 
-  gjoin::gpujoin::PartitionedJoinConfig cfg = config.join;
-  if (cfg.join.key_bits == 0) {
-    if (prepared != nullptr) {
-      cfg.join.key_bits = prepared->key_bits;
-    } else {
-      uint32_t max_key = 1;
-      for (uint32_t k : build.keys) max_key = std::max(max_key, k);
-      cfg.join.key_bits = util::Log2Floor(max_key) + 1;
-    }
-  }
+  PartitionedJoinConfig cfg = config.join;
+  if (cfg.join.key_bits == 0) cfg.join.key_bits = prepared.key_bits;
   cfg.join.output = config.materialize_to_host ? OutputMode::kMaterialize
                                                : OutputMode::kAggregate;
 
   // ---- Build side: one transfer + resident partitioning ----
-  // With a shared prepared build the upload and partitioning are not
-  // re-executed, but their ops still enter the solo DAG (and their
-  // modeled seconds this query's stats) so the run is indistinguishable
-  // from a standalone one; the session scheduler substitutes these ops
-  // with the producing query's when merging timelines.
-  PartitionedRelation local_parted;
-  const PartitionedRelation* r_parted = nullptr;
-  if (prepared != nullptr) {
-    r_parted = &prepared->parted;
-  } else {
-    GJOIN_ASSIGN_OR_RETURN(gpujoin::DeviceRelation r_dev,
-                           gpujoin::DeviceRelation::Upload(device, build));
-    GJOIN_ASSIGN_OR_RETURN(
-        local_parted,
-        gjoin::gpujoin::RadixPartitionConsuming(device, std::move(r_dev),
-                                                cfg.partition));
-    r_parted = &local_parted;
-  }
+  // The prepared build is never re-executed here, but its upload and
+  // partitioning enter the solo DAG (and their modeled seconds this
+  // query's stats) so the run is indistinguishable from a standalone
+  // one; the session scheduler substitutes these ops with the producing
+  // query's when merging timelines.
+  const PartitionedRelation& r_parted = prepared.parted;
   const double r_h2d_s = pcie.DmaSeconds(build.bytes());
 
   const size_t chunk_tuples = config.chunk_tuples != 0
@@ -67,7 +46,7 @@ util::Result<StreamingProbeRun> StreamingProbeExecute(
   JoinStats& stats = run.stats;
   sim::Timeline& timeline = run.timeline;
   run.build_h2d = timeline.Add(sim::Engine::kCopyH2D, r_h2d_s, {}, "h2d:R");
-  run.build_part = timeline.Add(sim::Engine::kComputeGpu, r_parted->seconds,
+  run.build_part = timeline.Add(sim::Engine::kComputeGpu, r_parted.seconds,
                                 {run.build_h2d}, "part:R");
 
   // Double-buffered chunk pipeline: transfer i waits for the join that
@@ -87,18 +66,12 @@ util::Result<StreamingProbeRun> StreamingProbeExecute(
         PartitionedRelation s_parted,
         gjoin::gpujoin::RadixPartition(device, s_dev, cfg.partition));
 
-    gjoin::gpujoin::OutputRing ring;
-    gjoin::gpujoin::OutputRing* ring_ptr = nullptr;
-    if (config.materialize_to_host) {
-      GJOIN_ASSIGN_OR_RETURN(
-          ring, gjoin::gpujoin::OutputRing::Allocate(&device->memory(),
-                                                     chunk.size + 1));
-      ring_ptr = &ring;
-    }
+    PartitionedJoinConfig chunk_cfg = cfg;
+    chunk_cfg.out_capacity = chunk.size + 1;
     GJOIN_ASSIGN_OR_RETURN(
-        gjoin::gpujoin::CoPartitionJoinResult chunk_join,
-        gjoin::gpujoin::JoinCoPartitions(device, *r_parted, s_parted,
-                                         cfg.join, ring_ptr));
+        JoinStats chunk_join,
+        gjoin::gpujoin::JoinPartedPair(device, r_parted, s_parted, chunk_cfg,
+                                       chunk.size));
     stats.matches += chunk_join.matches;
     stats.payload_sum += chunk_join.payload_sum;
 
@@ -108,7 +81,7 @@ util::Result<StreamingProbeRun> StreamingProbeExecute(
     const sim::OpId h2d = timeline.Add(
         sim::Engine::kCopyH2D, pcie.DmaSeconds(chunk.bytes()), copy_deps,
         "h2d:chunk");
-    const double gpu_s = s_parted.seconds + chunk_join.seconds;
+    const double gpu_s = s_parted.seconds + chunk_join.join_s;
     std::vector<sim::OpId> join_deps = {h2d, run.build_part};
     const sim::OpId join_op =
         timeline.Add(sim::Engine::kComputeGpu, gpu_s, join_deps, "join:chunk");
@@ -119,14 +92,14 @@ util::Result<StreamingProbeRun> StreamingProbeExecute(
                    "d2h:results");
     }
     stats.partition_s += s_parted.seconds;
-    stats.join_s += chunk_join.seconds;
+    stats.join_s += chunk_join.join_s;
   }
 
   GJOIN_ASSIGN_OR_RETURN(sim::Schedule schedule, timeline.Run());
   stats.seconds = schedule.makespan_s;
   stats.transfer_s = schedule.busy_s[static_cast<int>(sim::Engine::kCopyH2D)] +
                      schedule.busy_s[static_cast<int>(sim::Engine::kCopyD2H)];
-  stats.partition_s += r_parted->seconds;
+  stats.partition_s += r_parted.seconds;
   return run;
 }
 
@@ -134,8 +107,12 @@ util::Result<JoinStats> StreamingProbeJoin(sim::Device* device,
                                            const data::Relation& build,
                                            const data::Relation& probe,
                                            const StreamingProbeConfig& config) {
-  GJOIN_ASSIGN_OR_RETURN(StreamingProbeRun run,
-                         StreamingProbeExecute(device, build, probe, config));
+  GJOIN_ASSIGN_OR_RETURN(
+      gpujoin::PreparedBuild prepared,
+      gpujoin::PreparePartitionedBuild(device, build, config.join));
+  GJOIN_ASSIGN_OR_RETURN(
+      StreamingProbeRun run,
+      StreamingProbeExecute(device, build, probe, config, prepared));
   return run.stats;
 }
 

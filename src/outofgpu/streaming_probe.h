@@ -51,22 +51,22 @@ struct StreamingProbeRun {
   sim::OpId build_part = -1;    ///< Build-side partitioning op.
 };
 
-/// Functionally executes the streaming-probe join and returns finalized
-/// stats plus the solo op DAG. When `prepared` is non-null it must be
-/// PreparePartitionedBuild(device, build, config.join): the resident
-/// partitioned build is reused instead of re-uploading/re-partitioning,
-/// while the returned stats and DAG remain identical to a standalone run
-/// (partitioning is deterministic).
+/// Functionally executes the streaming-probe join against `prepared`,
+/// which must be PreparePartitionedBuild(device, build, config.join)
+/// unless `build` is empty (then it is not read). The resident
+/// partitioned build may be shared with other queries: its upload and
+/// partitioning still enter this run's solo DAG and stats, so the result
+/// is identical to a standalone run (partitioning is deterministic).
 [[nodiscard]]
 util::Result<StreamingProbeRun> StreamingProbeExecute(
     sim::Device* device, const data::Relation& build,
     const data::Relation& probe, const StreamingProbeConfig& config,
-    const gpujoin::PreparedBuild* prepared = nullptr);
+    const gpujoin::PreparedBuild& prepared);
 
-/// Runs the streaming-probe join: `build` must fit in device memory,
-/// `probe` streams from the host. Returns verified counts and modeled
-/// pipeline timing (seconds = makespan; transfer_s / join_s = engine
-/// busy times).
+/// Runs the streaming-probe join: prepares `build`, which must fit in
+/// device memory, and streams `probe` from the host. Returns verified
+/// counts and modeled pipeline timing (seconds = makespan; transfer_s /
+/// join_s = engine busy times).
 [[nodiscard]]
 util::Result<gpujoin::JoinStats> StreamingProbeJoin(
     sim::Device* device, const data::Relation& build,

@@ -437,34 +437,99 @@ TEST_F(StatInvarianceTest, ChunkedConsumingJoinMatchesContiguous) {
 }
 
 TEST_F(StatInvarianceTest, ConsumingPlanEqualsSharedPlan) {
+  // The borrowed plan leaves its partitions untouched, so any number of
+  // plans from one partitioned form equal the plan that consumes it.
   sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
-  outofgpu::CoProcessConfig cfg;
-  cfg.join.partition.pass_bits = {6, 5};
-  auto shared = outofgpu::PlanCoProcessJoin(&device, r_, s_, cfg);
-  ASSERT_TRUE(shared.ok()) << shared.status();
-
   const hw::CpuCostModel cpu_model(device.spec().cpu);
-  auto r_parts = cpu::CpuRadixPartition(r_, cfg.cpu, cpu_model);
-  auto s_parts = cpu::CpuRadixPartition(s_, cfg.cpu, cpu_model);
-  ASSERT_TRUE(r_parts.ok() && s_parts.ok());
-  auto consuming = outofgpu::PlanCoProcessJoinConsuming(
-      &device, std::move(r_parts).ValueOrDie(),
-      std::move(s_parts).ValueOrDie(), cfg);
-  ASSERT_TRUE(consuming.ok()) << consuming.status();
 
-  EXPECT_EQ(consuming->total_input_bytes, shared->total_input_bytes);
-  ASSERT_EQ(consuming->runs.size(), shared->runs.size());
-  for (size_t i = 0; i < shared->runs.size(); ++i) {
-    SCOPED_TRACE("working set run " + std::to_string(i));
-    const auto& a = shared->runs[i];
-    const auto& b = consuming->runs[i];
-    EXPECT_EQ(b.matches, a.matches);
-    EXPECT_EQ(b.payload_sum, a.payload_sum);
-    EXPECT_DOUBLE_EQ(b.gpu_seconds, a.gpu_seconds);
-    EXPECT_DOUBLE_EQ(b.join_s, a.join_s);
-    EXPECT_DOUBLE_EQ(b.partition_s, a.partition_s);
-    EXPECT_EQ(b.transfer_bytes, a.transfer_bytes);
-    EXPECT_EQ(b.set_index, a.set_index);
+  // FNV-1a over every partition's columns.
+  auto digest = [](const cpu::HostPartitions& parts) {
+    uint64_t h = 1469598103934665603ull;
+    auto mix = [&h](uint64_t v) { h = (h ^ v) * 1099511628211ull; };
+    for (const data::Relation& part : parts.parts) {
+      mix(part.size());
+      for (uint32_t k : part.keys) mix(k);
+      for (uint32_t v : part.payloads) mix(v);
+    }
+    return h;
+  };
+  auto expect_same_plan = [](const outofgpu::CoProcessPlan& a,
+                             const outofgpu::CoProcessPlan& b) {
+    EXPECT_EQ(b.total_input_bytes, a.total_input_bytes);
+    ASSERT_EQ(b.runs.size(), a.runs.size());
+    for (size_t i = 0; i < a.runs.size(); ++i) {
+      SCOPED_TRACE("working set run " + std::to_string(i));
+      EXPECT_EQ(b.runs[i].matches, a.runs[i].matches);
+      EXPECT_EQ(b.runs[i].payload_sum, a.runs[i].payload_sum);
+      EXPECT_DOUBLE_EQ(b.runs[i].gpu_seconds, a.runs[i].gpu_seconds);
+      EXPECT_DOUBLE_EQ(b.runs[i].join_s, a.runs[i].join_s);
+      EXPECT_DOUBLE_EQ(b.runs[i].partition_s, a.runs[i].partition_s);
+      EXPECT_EQ(b.runs[i].transfer_bytes, a.runs[i].transfer_bytes);
+      EXPECT_EQ(b.runs[i].set_index, a.runs[i].set_index);
+    }
+  };
+
+  // Sparse probe: odd keys only, so every even CPU partition (the low
+  // key bits) is empty on the probe side. A budget of one build partition
+  // packs each into its own working set, and the even ones are skipped.
+  data::Relation odd_s;
+  for (size_t i = 0; i < s_.size(); ++i) {
+    if (s_.keys[i] % 2 == 1) {
+      odd_s.keys.push_back(s_.keys[i]);
+      odd_s.payloads.push_back(s_.payloads[i]);
+    }
+  }
+  struct Case {
+    const char* name;
+    const data::Relation* probe;
+    uint64_t budget_bytes;  // 0 = the planner's default
+  };
+  for (const Case& c : {Case{"dense", &s_, 0},
+                        Case{"sparse", &odd_s, (r_.bytes() / 16) * 6 / 5}}) {
+    SCOPED_TRACE(c.name);
+    outofgpu::CoProcessConfig cfg;
+    cfg.join.partition.pass_bits = {6, 5};
+    cfg.packing.budget_bytes = c.budget_bytes;
+    auto r_parts = cpu::CpuRadixPartition(r_, cfg.cpu, cpu_model);
+    auto s_parts = cpu::CpuRadixPartition(*c.probe, cfg.cpu, cpu_model);
+    ASSERT_TRUE(r_parts.ok() && s_parts.ok());
+    const uint64_t r_digest = digest(*r_parts);
+    const uint64_t s_digest = digest(*s_parts);
+
+    auto first = outofgpu::PlanCoProcessJoin(&device, *r_parts, *s_parts, cfg);
+    ASSERT_TRUE(first.ok()) << first.status();
+    auto second =
+        outofgpu::PlanCoProcessJoin(&device, *r_parts, *s_parts, cfg);
+    ASSERT_TRUE(second.ok()) << second.status();
+    EXPECT_EQ(digest(*r_parts), r_digest);
+    EXPECT_EQ(digest(*s_parts), s_digest);
+    if (c.probe == &odd_s) {
+      // 16 singleton sets, packed largest partition index first; only
+      // the odd partitions' sets run.
+      ASSERT_EQ(first->runs.size(), 8u);
+      for (size_t i = 0; i < first->runs.size(); ++i) {
+        const uint32_t p = 15 - 2 * static_cast<uint32_t>(i);
+        EXPECT_EQ(first->runs[i].set_index, 2 * i);
+        EXPECT_EQ(first->runs[i].transfer_bytes,
+                  r_parts->parts[p].bytes() + s_parts->parts[p].bytes());
+      }
+    }
+
+    auto consumed = outofgpu::PlanCoProcessJoinConsuming(
+        &device, std::move(r_parts).ValueOrDie(),
+        std::move(s_parts).ValueOrDie(), cfg);
+    ASSERT_TRUE(consumed.ok()) << consumed.status();
+    expect_same_plan(*consumed, *first);
+    expect_same_plan(*consumed, *second);
+
+    uint64_t matches = 0, payload_sum = 0;
+    for (const auto& run : consumed->runs) {
+      matches += run.matches;
+      payload_sum += run.payload_sum;
+    }
+    const data::OracleResult oracle = data::JoinOracle(r_, *c.probe);
+    EXPECT_EQ(matches, oracle.matches);
+    EXPECT_EQ(payload_sum, oracle.payload_sum);
   }
 }
 

@@ -6,8 +6,10 @@
 #include <numeric>
 #include <set>
 
+#include "src/cpu/cpu_partition.h"
 #include "src/data/generator.h"
 #include "src/data/oracle.h"
+#include "src/hw/cpu_cost.h"
 #include "src/hw/pcie.h"
 #include "src/outofgpu/coprocess.h"
 #include "src/outofgpu/streaming_probe.h"
@@ -286,6 +288,35 @@ TEST_F(CoProcessTest, MaterializationOverheadIsBounded) {
   ASSERT_TRUE(mat.ok());
   EXPECT_GE(mat->seconds, agg->seconds);
   EXPECT_LT(mat->seconds, agg->seconds * 1.5);
+}
+
+// A parts vector shorter than the fanout its radix_bits claims is
+// rejected by both planner entry points before any partition is read.
+void ExpectShortPartsRejected(sim::Device* device, bool short_build) {
+  const auto r = data::MakeUniqueUniform(20000, 21);
+  const auto s = data::MakeUniformProbe(20000, 20000, 22);
+  CoProcessConfig cfg;
+  const hw::CpuCostModel cpu_model(device->spec().cpu);
+  auto r_parts = cpu::CpuRadixPartition(r, cfg.cpu, cpu_model);
+  auto s_parts = cpu::CpuRadixPartition(s, cfg.cpu, cpu_model);
+  ASSERT_TRUE(r_parts.ok() && s_parts.ok());
+  cpu::HostPartitions build = std::move(r_parts).ValueOrDie();
+  cpu::HostPartitions probe = std::move(s_parts).ValueOrDie();
+  (short_build ? build : probe).parts.resize(3);
+
+  auto borrowed = PlanCoProcessJoin(device, build, probe, cfg);
+  EXPECT_EQ(borrowed.status().code(), util::StatusCode::kInvalid);
+  auto consumed = PlanCoProcessJoinConsuming(device, std::move(build),
+                                             std::move(probe), cfg);
+  EXPECT_EQ(consumed.status().code(), util::StatusCode::kInvalid);
+}
+
+TEST_F(CoProcessTest, PlanRejectsShortBuildPartitions) {
+  ExpectShortPartsRejected(&device_, /*short_build=*/true);
+}
+
+TEST_F(CoProcessTest, PlanRejectsShortProbePartitions) {
+  ExpectShortPartsRejected(&device_, /*short_build=*/false);
 }
 
 // ---------------------------------------------------------------------------
