@@ -37,6 +37,14 @@ caught in review instead of as a golden diff three PRs later:
                     portability break on non-SSE2 hosts and a
                     memory-ordering hazard under threads (NT stores are
                     not ordered by plain loads/stores).
+  mapping-guard     host memory-mapping calls (mmap, munmap, madvise,
+                    mremap) live only in src/util/hostalloc.cc, the one
+                    owner of host-allocator policy: device buffers map
+                    2 MiB-aligned huge-page blocks there, with the
+                    AddressSanitizer heap fallback that keeps device
+                    buffers bounds-checked. A mapping made elsewhere
+                    bypasses both, and its munmap must agree with the
+                    size and path that allocated it.
   nodiscard         function declarations in src/ headers returning
                     util::Status or util::Result<...> must be
                     [[nodiscard]]: a silently dropped Status is how a
@@ -114,6 +122,11 @@ OBS_BANNED_INCLUDE_PREFIXES = ("src/exec/", "src/gpujoin/")
 NONTEMPORAL_RE = re.compile(
     r"\b(_mm(256|512)?_stream_\w+|_mm_sfence|__builtin_nontemporal_\w+)\b")
 NONTEMPORAL_ALLOWED_FILE = "src/util/scatter_buffer.h"
+
+# Host memory-mapping calls: allowed only in the host-allocator policy
+# file (AllocateZeroed/FreeZeroed own every mapping's size and path).
+MAPPING_RE = re.compile(r"\b(mmap(64)?|munmap|madvise|mremap)\s*\(")
+MAPPING_ALLOWED_FILE = "src/util/hostalloc.cc"
 
 # A function declaration returning Status/Result. Google-style names:
 # functions are CamelCase, so an uppercase identifier after the return
@@ -232,6 +245,14 @@ def lint_file(root, path):
                     "src/util/scatter_buffer.h (use StreamCopyU32 + "
                     "StreamFence, which carry the __SSE2__ guard and "
                     "the publication fence)"))
+
+        if relpath != MAPPING_ALLOWED_FILE and MAPPING_RE.search(code):
+            if not suppressed(lines, idx, "mapping-guard"):
+                findings.append(Finding(
+                    relpath, idx + 1, "mapping-guard",
+                    "host memory mappings live only in "
+                    "src/util/hostalloc.cc (use util::AllocateZeroed / "
+                    "FreeZeroed, or a sim::DeviceMemory buffer)"))
 
         if in_obs and OBS_MUTATOR_RE.search(code):
             if not suppressed(lines, idx, "obs-read-only"):
@@ -422,6 +443,31 @@ FIXTURES = {
         "  _mm_sfence();\n"
         "#endif\n"
         "}\n",
+        set(),
+    ),
+    "src/gpujoin/bad_raw_mapping.cc": (
+        # A hand-rolled huge-page mapping outside the allocator: no ASan
+        # fallback, and nothing ties its munmap to its mapped size.
+        "#include <sys/mman.h>\n"
+        "void* Pool(size_t bytes) {\n"
+        "  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,\n"
+        "                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);\n"
+        "  madvise(p, bytes, MADV_HUGEPAGE);\n"
+        "  return p;\n"
+        "}\n"
+        "void Drop(void* p, size_t bytes) { munmap(p, bytes); }\n",
+        {"mapping-guard"},
+    ),
+    "src/util/hostalloc.cc": (
+        # The one audited home of the mapping calls; must lint clean.
+        "#include <sys/mman.h>\n"
+        "void* AllocateZeroed(size_t bytes) {\n"
+        "  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,\n"
+        "                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);\n"
+        "  madvise(p, bytes, MADV_HUGEPAGE);\n"
+        "  return p;\n"
+        "}\n"
+        "void FreeZeroed(void* p, size_t bytes) { munmap(p, bytes); }\n",
         set(),
     ),
     "src/util/bad_missing_nodiscard.h": (

@@ -14,13 +14,14 @@ OUT/<name>.txt, the figure,series,x,value rows to OUT/<name>.csv, and
 everything to OUT/all_figures.csv.
 
 --timings additionally writes OUT/timings.json: per-bench wall-clock
-seconds, peak resident set size in bytes (peak_rss_bytes) and the
-divisor each bench ran at, the measurement behind the README's
-"Full-scale timings" table. Timings are always collected; the flag only
-controls writing the JSON. Each bench runs under its own small wrapper
-process that reports its child's peak RSS: RUSAGE_CHILDREN's maxrss is
-a running maximum over every child a process has reaped, so reading it
-here would report the largest bench so far, not this one.
+seconds, peak resident set size in bytes (peak_rss_bytes), minor page
+faults (minor_faults), kernel CPU seconds (sys_seconds) and the divisor
+each bench ran at, the measurement behind the README's "Full-scale
+timings" table. Timings are always collected; the flag only controls
+writing the JSON. Each bench runs under its own small wrapper process
+that reports its child's rusage: RUSAGE_CHILDREN's maxrss is a running
+maximum over every child a process has reaped, so reading it here would
+report the largest bench so far, not this one.
 
 --trace-dir DIR passes --trace_dir=DIR to every bench: session benches
 dump Chrome-trace JSON timelines there (viewable at ui.perfetto.dev).
@@ -44,25 +45,31 @@ import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-# Runs argv[2:] as its only child, writes that child's peak RSS in bytes
-# (ru_maxrss is in KiB on Linux) to the file argv[1], and exits with the
-# child's status (128 + signal when it was killed, as a shell reports).
-RSS_WRAPPER = """
-import resource, subprocess, sys
+# Runs argv[2:] as its only child, writes that child's rusage to the file
+# argv[1] as JSON (peak RSS in bytes: ru_maxrss is in KiB on Linux), and
+# exits with the child's status (128 + signal when it was killed, as a
+# shell reports).
+RUSAGE_WRAPPER = """
+import json, resource, subprocess, sys
 rc = subprocess.call(sys.argv[2:])
+ru = resource.getrusage(resource.RUSAGE_CHILDREN)
 with open(sys.argv[1], "w") as f:
-    f.write(str(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024))
+    json.dump({"peak_rss_bytes": ru.ru_maxrss * 1024,
+               "minor_faults": ru.ru_minflt,
+               "sys_seconds": round(ru.ru_stime, 3)}, f)
 sys.exit(rc if rc >= 0 else 128 - rc)
 """
+RUSAGE_KEYS = ("peak_rss_bytes", "minor_faults", "sys_seconds")
 
 
 def run_measured(cmd: list[str], timeout: int):
-    """Runs cmd under RSS_WRAPPER; returns (returncode, stdout, stderr,
-    peak_rss_bytes), with returncode None after a timeout."""
-    fd, rss_path = tempfile.mkstemp(prefix="gjoin_rss_")
+    """Runs cmd under RUSAGE_WRAPPER; returns (returncode, stdout, stderr,
+    usage), usage mapping each of RUSAGE_KEYS to its value or None, with
+    returncode None after a timeout."""
+    fd, usage_path = tempfile.mkstemp(prefix="gjoin_rusage_")
     os.close(fd)
     # A new session, so a timeout kills the bench along with its wrapper.
-    proc = subprocess.Popen([sys.executable, "-c", RSS_WRAPPER, rss_path,
+    proc = subprocess.Popen([sys.executable, "-c", RUSAGE_WRAPPER, usage_path,
                              *cmd], stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True,
                             start_new_session=True)
@@ -74,11 +81,11 @@ def run_measured(cmd: list[str], timeout: int):
         out, err = proc.communicate()
         returncode = None
     try:
-        text = pathlib.Path(rss_path).read_text()
-        peak_rss = int(text) if text else None
+        text = pathlib.Path(usage_path).read_text()
+        usage = json.loads(text) if text else {}
     finally:
-        os.unlink(rss_path)
-    return returncode, out, err, peak_rss
+        os.unlink(usage_path)
+    return returncode, out, err, {k: usage.get(k) for k in RUSAGE_KEYS}
 
 
 def discover_benches(only: str) -> list[str]:
@@ -145,8 +152,7 @@ def main() -> int:
             cmd.append(f"--trace_dir={args.trace_dir}")
         print(f"RUN  {' '.join(cmd)}", flush=True)
         start = time.monotonic()
-        returncode, stdout, stderr, peak_rss = run_measured(cmd,
-                                                            args.timeout)
+        returncode, stdout, stderr, usage = run_measured(cmd, args.timeout)
         if returncode is None:
             # Keep whatever the bench printed before hanging — that is
             # exactly the log one needs to debug it.
@@ -180,15 +186,16 @@ def main() -> int:
         all_rows.extend(rows)
 
         timings[name] = {"wall_seconds": round(wall_s, 3),
-                         "peak_rss_bytes": peak_rss,
+                         **usage,
                          "divisor": divisor}
         if returncode != 0:
             print(f"FAIL {name}: exit {returncode}", file=sys.stderr)
             failures.append(name)
         else:
-            rss_gb = (peak_rss or 0) / 1e9
+            rss_gb = (usage["peak_rss_bytes"] or 0) / 1e9
             print(f"OK   {name}: {len(rows)} rows ({wall_s:.1f}s, "
-                  f"{rss_gb:.2f} GB peak RSS)", flush=True)
+                  f"{rss_gb:.2f} GB peak RSS, {usage['minor_faults']} "
+                  f"minor faults, {usage['sys_seconds']}s sys)", flush=True)
 
     if args.timings:
         with open(out_dir / "timings.json", "w") as f:

@@ -13,16 +13,11 @@ util::Result<std::shared_ptr<BucketPool>> BucketPool::Allocate(
   pool->bucket_capacity_ = bucket_capacity;
   const size_t slots =
       static_cast<size_t>(num_buckets) * static_cast<size_t>(bucket_capacity);
-  // Element storage starts indeterminate (like cudaMalloc): every read
-  // of a bucket's tuples is bounded by its fill count, which only grows
-  // as the producer writes — zeroing multi-GB pools the scatter is
-  // about to overwrite would touch every page twice.
-  GJOIN_ASSIGN_OR_RETURN(
-      pool->keys_,
-      memory->AllocateUninitialized<uint32_t>(slots, "bucket-pool:keys"));
+  GJOIN_ASSIGN_OR_RETURN(pool->keys_,
+                         memory->Allocate<uint32_t>(slots, "bucket-pool:keys"));
   GJOIN_ASSIGN_OR_RETURN(
       pool->payloads_,
-      memory->AllocateUninitialized<uint32_t>(slots, "bucket-pool:payloads"));
+      memory->Allocate<uint32_t>(slots, "bucket-pool:payloads"));
   GJOIN_ASSIGN_OR_RETURN(
       pool->next_, memory->Allocate<int32_t>(num_buckets, "bucket-pool:next"));
   GJOIN_ASSIGN_OR_RETURN(

@@ -242,7 +242,7 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
         wanted.push_back(item.p);
       }
     }
-    util::ThreadPool::Default()->ParallelForRanges(
+    device->pool()->ParallelForRanges(
         wanted.size(), [&](size_t /*worker*/, size_t lo, size_t hi) {
           for (size_t j = lo; j < hi; ++j) {
             const uint32_t p = wanted[j];

@@ -116,14 +116,41 @@ class RingEmits {
     if (st.tail.size() < cap) {
       st.tail.push_back(pair);
     } else {
-      st.tail[st.count % cap] = pair;
+      st.tail[st.next] = pair;
     }
+    if (++st.next == cap) st.next = 0;
     ++st.count;
   }
 
   /// Body: records `n` consecutive result pairs of `block`.
   void Emit(int block, const uint64_t* pairs, size_t n) {
-    for (size_t i = 0; i < n; ++i) Emit(block, pairs[i]);
+    Staged& st = blocks_[static_cast<size_t>(block)];
+    const size_t cap = ring_->capacity();
+    if (n >= cap) {
+      // Only the last `cap` pairs survive; they fill the whole tail.
+      const size_t skip = n - cap;
+      st.count += skip;
+      st.next = static_cast<size_t>(st.count % cap);
+      pairs += skip;
+      n = cap;
+      st.tail.resize(cap);
+    }
+    while (n > 0) {
+      size_t run;
+      if (st.tail.size() < cap) {
+        // Still filling: the tail's end is the wrap index.
+        run = std::min(n, cap - st.tail.size());
+        st.tail.insert(st.tail.end(), pairs, pairs + run);
+      } else {
+        run = std::min(n, cap - st.next);
+        std::copy_n(pairs, run, st.tail.data() + st.next);
+      }
+      st.next += run;
+      if (st.next == cap) st.next = 0;
+      st.count += run;
+      pairs += run;
+      n -= run;
+    }
   }
 
   /// Epilogue (ascending block id): claims the block's ring space.
@@ -163,6 +190,7 @@ class RingEmits {
  private:
   struct Staged {
     std::vector<uint64_t> tail;  ///< Pair i at tail[i % capacity].
+    size_t next = 0;             ///< count % capacity: the next pair's slot.
     uint64_t count = 0;          ///< Pairs emitted (may exceed capacity).
     uint64_t start = 0;          ///< First logical position (Assign).
   };

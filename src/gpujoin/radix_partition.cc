@@ -416,18 +416,37 @@ uint32_t AutoBucketCapacity(uint64_t tuples, uint32_t partitions) {
 void ChunkedDeviceInput::Add(std::vector<uint32_t> keys,
                              std::vector<uint32_t> payloads) {
   if (keys.empty()) return;
+  const uint32_t* k = keys.data();
+  const uint32_t* p = payloads.data();
+  const size_t n = keys.size();
+  // Moving a vector keeps its buffer, so the view survives the moves.
   Chunk chunk;
-  chunk.begin = total_;
-  total_ += keys.size();
   chunk.keys = std::move(keys);
   chunk.payloads = std::move(payloads);
+  AddChunk(std::move(chunk), k, p, n);
+}
+
+void ChunkedDeviceInput::AddBorrowed(const std::vector<uint32_t>& keys,
+                                     const std::vector<uint32_t>& payloads) {
+  if (keys.empty()) return;
+  AddChunk(Chunk(), keys.data(), payloads.data(), keys.size());
+}
+
+void ChunkedDeviceInput::AddChunk(Chunk chunk, const uint32_t* keys,
+                                  const uint32_t* payloads, size_t n) {
+  chunk.k = keys;
+  chunk.p = payloads;
+  chunk.begin = total_;
+  total_ += n;
   chunks_.push_back(std::move(chunk));
 }
 
 uint32_t ChunkedDeviceInput::MaxKey() const {
   uint32_t max_key = 0;
-  for (const Chunk& chunk : chunks_) {
-    for (uint32_t k : chunk.keys) max_key = std::max(max_key, k);
+  for (size_t c = 0; c < chunks_.size(); ++c) {
+    const uint32_t* k = chunks_[c].k;
+    max_key = std::max(max_key, *std::max_element(
+                                    k, k + (ChunkEnd(c) - chunks_[c].begin)));
   }
   return max_key;
 }
@@ -437,9 +456,9 @@ void ChunkedDeviceInput::Cursor::Advance() {
   // chunk exists and is still alive (it intersects the block's range).
   ++chunk_;
   const Chunk& chunk = in_->chunks_[chunk_];
-  k_ = chunk.keys.data();
-  p_ = chunk.payloads.data();
-  k_end_ = k_ + chunk.keys.size();
+  k_ = chunk.k;
+  p_ = chunk.p;
+  k_end_ = k_ + (in_->ChunkEnd(chunk_) - chunk.begin);
 }
 
 ChunkedDeviceInput::Cursor ChunkedDeviceInput::At(size_t i) const {
@@ -453,9 +472,9 @@ ChunkedDeviceInput::Cursor ChunkedDeviceInput::At(size_t i) const {
   }
   cur.chunk_ = lo;
   const Chunk& chunk = chunks_[lo];
-  cur.k_ = chunk.keys.data() + (i - chunk.begin);
-  cur.p_ = chunk.payloads.data() + (i - chunk.begin);
-  cur.k_end_ = chunk.keys.data() + chunk.keys.size();
+  cur.k_ = chunk.k + (i - chunk.begin);
+  cur.p_ = chunk.p + (i - chunk.begin);
+  cur.k_end_ = chunk.k + (ChunkEnd(lo) - chunk.begin);
   return cur;
 }
 
@@ -485,7 +504,8 @@ void ChunkedDeviceInput::BlockDone(size_t begin, size_t end) {
   }
   for (size_t c = lo; c < chunks_.size() && chunks_[c].begin < end; ++c) {
     if (readers_[c].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      // Last reader: release the chunk's columns.
+      // Last reader: release the chunk's owned columns (a borrowed
+      // chunk owns none).
       std::vector<uint32_t>().swap(chunks_[c].keys);
       std::vector<uint32_t>().swap(chunks_[c].payloads);
     }

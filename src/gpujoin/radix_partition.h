@@ -103,9 +103,10 @@ struct PartitionedRelation {
 };
 
 /// \brief First-pass input assembled from host-staged chunks (e.g. the
-/// co-partitions of an out-of-GPU working set), each chunk's columns
-/// moved in and released the moment the last thread block reading it
-/// has finished.
+/// co-partitions of an out-of-GPU working set). A chunk either owns its
+/// columns, moved in and released the moment the last thread block
+/// reading it has finished, or borrows the caller's columns, which it
+/// never frees.
 ///
 /// This is the streamed working-set buffer of the co-processing
 /// strategy: instead of concatenating host partitions and uploading one
@@ -126,6 +127,12 @@ class ChunkedDeviceInput {
   /// Appends one chunk, taking ownership of its columns (which must
   /// have equal length; empty chunks are dropped).
   void Add(std::vector<uint32_t> keys, std::vector<uint32_t> payloads);
+
+  /// Appends one chunk that reads the caller's columns in place (equal
+  /// length; empty chunks are dropped). They must outlive the pass that
+  /// consumes this input, which never frees them.
+  void AddBorrowed(const std::vector<uint32_t>& keys,
+                   const std::vector<uint32_t>& payloads);
 
   /// Total tuples across all chunks.
   size_t size() const { return total_; }
@@ -168,10 +175,14 @@ class ChunkedDeviceInput {
 
  private:
   struct Chunk {
-    std::vector<uint32_t> keys;
+    std::vector<uint32_t> keys;      ///< Owned columns (empty if borrowed).
     std::vector<uint32_t> payloads;
+    const uint32_t* k = nullptr;     ///< The columns read: owned or not.
+    const uint32_t* p = nullptr;
     size_t begin = 0;  ///< Global index of the chunk's first tuple.
   };
+  void AddChunk(Chunk chunk, const uint32_t* keys, const uint32_t* payloads,
+                size_t n);
   size_t ChunkEnd(size_t c) const {
     return c + 1 < chunks_.size() ? chunks_[c + 1].begin : total_;
   }

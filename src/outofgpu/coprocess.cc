@@ -16,13 +16,15 @@ using gjoin::gpujoin::OutputMode;
 
 namespace {
 
-// A borrowed partition column is copied into the staged input, a
-// consumed one moved.
-std::vector<uint32_t> StageColumn(const std::vector<uint32_t>& column) {
-  return column;
+// A borrowed partition is read in place by the staged input, a consumed
+// one moved in (and freed as the first pass consumes it).
+void StagePartition(const data::Relation& part,
+                    gjoin::gpujoin::ChunkedDeviceInput* in) {
+  in->AddBorrowed(part.keys, part.payloads);
 }
-std::vector<uint32_t> StageColumn(std::vector<uint32_t>& column) {
-  return std::move(column);
+void StagePartition(data::Relation& part,
+                    gjoin::gpujoin::ChunkedDeviceInput* in) {
+  in->Add(std::move(part.keys), std::move(part.payloads));
 }
 
 /// The one planning body. `Parts` is `const cpu::HostPartitions` for the
@@ -64,7 +66,7 @@ util::Result<CoProcessPlan> PlanFromPartitions(sim::Device* device,
   // with relaxed capacity (see header); planning used the real budget.
   hw::HardwareSpec scratch_spec = spec;
   scratch_spec.gpu.device_memory_bytes = SIZE_MAX / 4;
-  sim::Device scratch(scratch_spec);
+  sim::Device scratch(scratch_spec, device->pool());
 
   gjoin::gpujoin::PartitionedJoinConfig join_cfg = config.join;
   join_cfg.partition.base_shift = config.cpu.radix_bits;
@@ -91,16 +93,15 @@ util::Result<CoProcessPlan> PlanFromPartitions(sim::Device* device,
       s_bytes += probe_parts.parts[p].bytes();
     }
 
-    // Stage the set's partition columns in partition-list order; the
-    // join's first pass walks and frees them chunk by chunk. Consumed
-    // partitions stay behind as empty shells, releasing this set's share
-    // of the host footprint even when the set is skipped as empty.
+    // Stage the set's partitions in partition-list order; the join's
+    // first pass walks them chunk by chunk and frees the consumed ones.
+    // Consumed partitions stay behind as empty shells, releasing this
+    // set's share of the host footprint even when the set is skipped as
+    // empty.
     gjoin::gpujoin::ChunkedDeviceInput r_in, s_in;
     for (uint32_t p : ws.partitions) {
-      r_in.Add(StageColumn(build_parts.parts[p].keys),
-               StageColumn(build_parts.parts[p].payloads));
-      s_in.Add(StageColumn(probe_parts.parts[p].keys),
-               StageColumn(probe_parts.parts[p].payloads));
+      StagePartition(build_parts.parts[p], &r_in);
+      StagePartition(probe_parts.parts[p], &s_in);
     }
     if (r_bytes == 0 || s_bytes == 0) continue;
 

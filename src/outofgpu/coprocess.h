@@ -109,21 +109,20 @@ struct CoProcessPlan {
 /// or a parts vector other than 1 << config.cpu.radix_bits long — is
 /// Invalid. Each working set's partition columns are staged chunk-wise
 /// into the GPU join (gpujoin::ChunkedDeviceInput), whose first pass
-/// releases them as it reads them.
+/// reads them in place.
 ///
-/// This borrowed form copies each set's partitions into the staged input
-/// and leaves the caller's partitions untouched, so one partitioned form
-/// serves every plan over the same relations (CPU pre-partitioning is
-/// deterministic).
+/// This borrowed form stages views of the caller's partitions, never
+/// copying or freeing them, so one partitioned form serves every plan
+/// over the same relations (CPU pre-partitioning is deterministic).
 [[nodiscard]]
 util::Result<CoProcessPlan> PlanCoProcessJoin(
     sim::Device* device, const cpu::HostPartitions& build_parts,
     const cpu::HostPartitions& probe_parts, const CoProcessConfig& config);
 
 /// The consuming form of PlanCoProcessJoin: each set's partitions are
-/// moved into the staged input instead of copied, so peak residency is
-/// the partitioned input — never input plus a working-set copy. The
-/// returned plan is identical to the borrowed form's.
+/// moved into the staged input, whose first pass frees them as it reads
+/// them, so peak residency falls as the sets are joined. The returned
+/// plan is identical to the borrowed form's.
 [[nodiscard]]
 util::Result<CoProcessPlan> PlanCoProcessJoinConsuming(
     sim::Device* device, cpu::HostPartitions build_parts,

@@ -46,7 +46,7 @@ util::Result<JoinStats> MechanismJoin(sim::Device* device,
   // per tuple is unchanged).
   hw::HardwareSpec scratch_spec = device->spec();
   scratch_spec.gpu.device_memory_bytes = SIZE_MAX / 4;
-  sim::Device scratch(scratch_spec);
+  sim::Device scratch(scratch_spec, device->pool());
   GJOIN_ASSIGN_OR_RETURN(
       gjoin::gpujoin::DeviceRelation r_dev,
       gjoin::gpujoin::DeviceRelation::Upload(&scratch, build));

@@ -102,6 +102,11 @@ class Device {
       const std::function<void(Block&)>& epilogue = nullptr,
       const std::function<void(int)>& place = nullptr);
 
+  /// Host threads that run this device's functional work. Host-side
+  /// helpers of a kernel, and scratch devices standing in for this one,
+  /// run on it too.
+  util::ThreadPool* pool() const { return pool_; }
+
   /// Simulated device memory (capacity-accounted allocations).
   DeviceMemory& memory() { return memory_; }
   const DeviceMemory& memory() const { return memory_; }

@@ -2,23 +2,32 @@
 // capacity accounting.
 //
 // Kernels in this reproduction execute on the host, so a "device buffer"
-// is ordinary memory — but allocation is accounted against the simulated
+// is host memory — but allocation is accounted against the simulated
 // device's capacity (8 GB for the GTX 1080 testbed). Capacity exhaustion
 // returns OutOfMemory exactly where a real cudaMalloc would fail, which
 // drives the paper's data-placement decisions: in-GPU vs streaming vs
 // co-processing (Sections III/IV) and the GPU-residency cutoffs of
 // Figures 14/15.
+//
+// Host backing (util::AllocateZeroed): like a GPU's device memory, every
+// buffer of 2 MiB or more is its own 2 MiB-aligned mapping advised for
+// huge pages, so the host faults it in 2 MiB at a time; smaller buffers,
+// and all buffers of a process that opted into heap retention
+// (util::TuneHostAllocatorForThroughput), come from the heap. Either way
+// every allocation starts zeroed (unlike cudaMalloc), so kernels start
+// deterministic, and a mapping is zeroed by the kernel as it is touched
+// rather than by a memset up front.
 
 #ifndef GJOIN_SIM_DEVICE_MEMORY_H_
 #define GJOIN_SIM_DEVICE_MEMORY_H_
 
 #include <atomic>
 #include <cstddef>
-#include <cstring>
-#include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 
+#include "src/util/hostalloc.h"
 #include "src/util/status.h"
 
 namespace gjoin::sim {
@@ -28,8 +37,8 @@ class FaultInjector;
 
 /// \brief Move-only typed allocation in simulated device memory.
 ///
-/// Frees its reservation on destruction. The backing store is plain host
-/// memory, so kernels (which run on the host) index it directly.
+/// Frees its reservation and its host backing on destruction. Kernels
+/// (which run on the host) index the backing directly.
 template <typename T>
 class DeviceBuffer {
  public:
@@ -38,9 +47,10 @@ class DeviceBuffer {
   DeviceBuffer& operator=(DeviceBuffer&& other) noexcept {
     if (this != &other) {
       Reset();
-      data_ = std::move(other.data_);
+      data_ = other.data_;
       size_ = other.size_;
       owner_ = other.owner_;
+      other.data_ = nullptr;
       other.size_ = 0;
       other.owner_ = nullptr;
     }
@@ -51,8 +61,8 @@ class DeviceBuffer {
   ~DeviceBuffer() { Reset(); }
 
   /// Element access (device-side from kernels, host-side from tests).
-  T* data() { return data_.get(); }
-  const T* data() const { return data_.get(); }
+  T* data() { return data_; }
+  const T* data() const { return data_; }
   T& operator[](size_t i) { return data_[i]; }
   const T& operator[](size_t i) const { return data_[i]; }
 
@@ -68,10 +78,10 @@ class DeviceBuffer {
 
  private:
   friend class DeviceMemory;
-  DeviceBuffer(std::unique_ptr<T[]> data, size_t size, DeviceMemory* owner)
-      : data_(std::move(data)), size_(size), owner_(owner) {}
+  DeviceBuffer(T* data, size_t size, DeviceMemory* owner)
+      : data_(data), size_(size), owner_(owner) {}
 
-  std::unique_ptr<T[]> data_;
+  T* data_ = nullptr;  ///< From util::AllocateZeroed(bytes()).
   size_t size_ = 0;
   DeviceMemory* owner_ = nullptr;
 };
@@ -87,38 +97,20 @@ class DeviceMemory {
   DeviceMemory(const DeviceMemory&) = delete;
   DeviceMemory& operator=(const DeviceMemory&) = delete;
 
-  /// Allocates `count` elements of T; OutOfMemory when the reservation
-  /// would exceed the device capacity (the message names `site`, the
-  /// requested and the free bytes). Contents are zero-initialized
-  /// (unlike cudaMalloc) so kernels start deterministic.
+  /// Allocates `count` zeroed elements of T; OutOfMemory when the
+  /// reservation would exceed the device capacity (the message names
+  /// `site`, the requested and the free bytes).
   template <typename T>
   [[nodiscard]]
   util::Result<DeviceBuffer<T>> Allocate(size_t count,
                                          const char* site = "unlabeled") {
+    // Zeroed bytes are a valid value only for trivial types.
+    static_assert(std::is_trivial_v<T> &&
+                  alignof(T) <= alignof(std::max_align_t));
     const size_t bytes = count * sizeof(T);
     GJOIN_RETURN_NOT_OK(Reserve(bytes, site));
-    // value-initialization zeroes the array.
-    auto data = std::make_unique<T[]>(count);
-    return DeviceBuffer<T>(std::move(data), count, this);
-  }
-
-  /// Like Allocate, but the contents start indeterminate (exactly like
-  /// cudaMalloc). Only for buffers every kernel provably writes before
-  /// reading — element storage the producer fully overwrites (bucket
-  /// keys/payloads guarded by fill counts, upload targets copied over
-  /// immediately). Metadata arrays (hash tables, fill counts, links)
-  /// must keep the zeroing Allocate: kernels read their initial state.
-  /// Skipping the zeroing pass matters at scale — it touches every page
-  /// of multi-GB pools that the scatter is about to overwrite anyway.
-  template <typename T>
-  [[nodiscard]]
-  util::Result<DeviceBuffer<T>> AllocateUninitialized(
-      size_t count, const char* site = "unlabeled") {
-    const size_t bytes = count * sizeof(T);
-    GJOIN_RETURN_NOT_OK(Reserve(bytes, site));
-    // default-initialization leaves trivial T indeterminate (no memset).
-    auto data = std::unique_ptr<T[]>(new T[count]);
-    return DeviceBuffer<T>(std::move(data), count, this);
+    return DeviceBuffer<T>(static_cast<T*>(util::AllocateZeroed(bytes)),
+                           count, this);
   }
 
   /// Bytes currently allocated.
@@ -166,7 +158,8 @@ void DeviceBuffer<T>::Reset() {
     owner_->Release(bytes());
     owner_ = nullptr;
   }
-  data_.reset();
+  util::FreeZeroed(data_, bytes());
+  data_ = nullptr;
   size_ = 0;
 }
 

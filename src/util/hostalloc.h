@@ -1,26 +1,62 @@
-// Host allocator tuning for throughput runs.
+// Host-memory policy: the backing store of simulated device memory, and
+// allocator tuning for throughput runs.
 //
-// The benches allocate and free multi-hundred-MB relation and device
-// buffers once per figure point. glibc serves blocks above its mmap
-// threshold with a fresh mmap and returns them with munmap, so every
-// point re-faults gigabytes of pages the previous point just released —
-// on the full-scale figures that is millions of minor faults and
-// several seconds of pure kernel time. Raising the mmap and trim
-// thresholds keeps those blocks on the heap free list, so the next
-// point reuses already-resident pages.
+// Device buffers. A GPU maps its device memory in large pages; the
+// simulator backs every device buffer of at least kHugePageBytes with its
+// own kHugePageBytes-aligned anonymous mapping advised for transparent
+// huge pages, and smaller buffers with calloc. Every buffer starts
+// zeroed: a fresh mapping is zeroed by the kernel as it is first
+// touched, without a memset pass, and the host takes one page fault per
+// 2 MiB instead of one per 4 KiB. With THP disabled the mapping falls back to
+// base pages, which is still correct. Under AddressSanitizer every buffer
+// comes from the heap, so device buffers stay bounds-checked.
 //
-// Purely a host-side wall-clock knob: charged stats and emitted figure
-// rows are identical with or without it. Call once at process start
-// (the bench harness does); a no-op on non-glibc platforms.
+// Allocator tuning. The benches allocate and free multi-hundred-MB
+// relation and device buffers once per figure point. glibc serves blocks
+// above its mmap threshold with a fresh mmap and returns them with
+// munmap, so every point re-faults pages the previous point just
+// released. Raising the mmap and trim thresholds keeps those blocks on
+// the heap free list, so the next point reuses already-resident pages;
+// device buffers then come from that heap too. Purely a host-side
+// wall-clock knob: charged stats and emitted figure rows are identical
+// with or without it. Call once at process start (the bench harness
+// does); the mallopt part is a no-op on non-glibc platforms.
 
 #ifndef GJOIN_UTIL_HOSTALLOC_H_
 #define GJOIN_UTIL_HOSTALLOC_H_
 
+#include <cstddef>
+
 namespace gjoin::util {
 
-/// Retains large freed blocks for reuse instead of returning them to
-/// the kernel. Trades peak RSS (freed blocks stay resident) for
-/// throughput; processes that measure RSS should skip it.
+/// Size and alignment of a host huge page (x86-64 and arm64 with 4 KiB
+/// base pages). Zeroed blocks of at least this size are mapped, not
+/// taken from the heap.
+inline constexpr size_t kHugePageBytes = size_t{2} << 20;
+
+/// True when AllocateZeroed maps blocks of at least kHugePageBytes:
+/// Linux builds without AddressSanitizer, unless
+/// TuneHostAllocatorForThroughput ran first. Otherwise every block comes
+/// from the heap. The first call of this, AllocateZeroed or
+/// TuneHostAllocatorForThroughput fixes the answer for the process.
+bool MapsLargeBlocks();
+
+/// Returns `bytes` of zeroed host memory, aligned to kHugePageBytes when
+/// mapped and to alignof(std::max_align_t) otherwise.
+/// Never returns null; throws std::bad_alloc when the host is out of
+/// memory, like operator new. Release with FreeZeroed(ptr, bytes).
+void* AllocateZeroed(size_t bytes);
+
+/// Releases a block from AllocateZeroed; `bytes` must be the size it was
+/// allocated with.
+void FreeZeroed(void* ptr, size_t bytes);
+
+/// Retains large freed heap blocks for reuse instead of returning them
+/// to the kernel, and keeps device buffers on that heap too, where they
+/// reuse the retained blocks (a separate mapping could not). Trades peak
+/// RSS (freed blocks stay resident) for throughput; processes that
+/// measure RSS should skip it. Device buffers stay mapped if any was
+/// allocated before this call.
 void TuneHostAllocatorForThroughput();
 
 }  // namespace gjoin::util

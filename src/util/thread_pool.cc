@@ -25,6 +25,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::Submit(std::function<void()> task) {
+  tasks_submitted_.fetch_add(1, std::memory_order_relaxed);
   {
     MutexLock lock(&mu_);
     queue_.push(std::move(task));

@@ -8,6 +8,7 @@
 #ifndef GJOIN_UTIL_THREAD_POOL_H_
 #define GJOIN_UTIL_THREAD_POOL_H_
 
+#include <atomic>
 #include <cstddef>
 #include <exception>
 #include <functional>
@@ -33,6 +34,12 @@ class ThreadPool {
 
   /// Number of worker threads.
   size_t num_threads() const { return threads_.size(); }
+
+  /// Tasks submitted since construction. Observational only: it shows
+  /// which pool a piece of work actually ran on.
+  size_t tasks_submitted() const {
+    return tasks_submitted_.load(std::memory_order_relaxed);
+  }
 
   /// Enqueues a task for asynchronous execution. Safe to call from
   /// worker threads (nested submission); such tasks are covered by the
@@ -67,6 +74,7 @@ class ThreadPool {
   void WorkerLoop();
 
   std::vector<std::thread> threads_;
+  std::atomic<size_t> tasks_submitted_{0};
   Mutex mu_;
   CondVar cv_task_;
   CondVar cv_done_;

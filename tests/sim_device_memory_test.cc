@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
+#include "src/util/hostalloc.h"
+
 namespace gjoin::sim {
 namespace {
 
@@ -128,6 +133,76 @@ TEST(DeviceMemoryTest, GpuCapacityMatchesGtx1080) {
   // A 9 GB request fails without allocating host memory first.
   auto fail = mem.Allocate<uint8_t>(9ull << 30);
   EXPECT_FALSE(fail.ok());
+}
+
+// Buffers of at least util::kHugePageBytes are mapped, smaller ones come
+// from the heap; both sides of the threshold must behave alike.
+constexpr size_t kHuge = util::kHugePageBytes;
+
+bool AllZero(const DeviceBuffer<uint8_t>& buf) {
+  for (size_t i = 0; i < buf.size(); ++i) {
+    if (buf[i] != 0) return false;
+  }
+  return true;
+}
+
+TEST(DeviceMemoryTest, ZeroedAroundHugePageSizeEvenAfterReuse) {
+  DeviceMemory mem(64 * kHuge);
+  for (size_t bytes : {kHuge - 8, kHuge, kHuge + 8, 3 * kHuge + 4096}) {
+    SCOPED_TRACE("bytes " + std::to_string(bytes));
+    for (int round = 0; round < 3; ++round) {
+      // Dirty every byte, free, allocate the same size again: the host
+      // may hand back the same memory, which must come back zeroed.
+      auto buf = std::move(mem.Allocate<uint8_t>(bytes)).ValueOrDie();
+      ASSERT_EQ(buf.size(), bytes);
+      EXPECT_TRUE(AllZero(buf)) << "round " << round;
+      std::memset(buf.data(), 0xAB, bytes);
+    }
+  }
+  EXPECT_EQ(mem.used(), 0u);
+}
+
+TEST(DeviceMemoryTest, MappedBuffersAreHugePageAligned) {
+  if (!util::MapsLargeBlocks()) {
+    GTEST_SKIP() << "this build backs every buffer with the heap";
+  }
+  DeviceMemory mem(64 * kHuge);
+  for (size_t bytes : {kHuge, kHuge + 8, 5 * kHuge + 12}) {
+    auto buf = std::move(mem.Allocate<uint8_t>(bytes)).ValueOrDie();
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(buf.data()) % kHuge, 0u)
+        << "bytes " << bytes;
+    // The whole block is writable, last byte included.
+    buf[bytes - 1] = 1;
+  }
+}
+
+TEST(DeviceMemoryTest, MappedBuffersKeepMessagesAndPeak) {
+  const size_t capacity = 8 * kHuge;
+  DeviceMemory mem(capacity);
+  {
+    auto big = std::move(mem.Allocate<uint32_t>(6 * kHuge / 4, "test:big"))
+                   .ValueOrDie();
+    auto fail = mem.Allocate<uint8_t>(3 * kHuge, "test:overflow");
+    ASSERT_FALSE(fail.ok());
+    EXPECT_EQ(fail.status().code(), util::StatusCode::kOutOfMemory);
+    EXPECT_NE(fail.status().ToString().find(
+                  "device memory exhausted at test:overflow: requested " +
+                  std::to_string(3 * kHuge) + " bytes, " +
+                  std::to_string(2 * kHuge) + " bytes free of " +
+                  std::to_string(capacity)),
+              std::string::npos)
+        << fail.status().ToString();
+    EXPECT_EQ(mem.used(), 6 * kHuge);
+    EXPECT_EQ(mem.peak_used(), 6 * kHuge);
+  }
+  EXPECT_EQ(mem.used(), 0u);
+  EXPECT_EQ(mem.peak_used(), 6 * kHuge);
+  // An exact fit still succeeds and raises the peak to the capacity.
+  auto whole = mem.Allocate<uint64_t>(capacity / 8);
+  ASSERT_TRUE(whole.ok());
+  EXPECT_EQ(mem.available(), 0u);
+  EXPECT_EQ(mem.peak_used(), capacity);
+  EXPECT_EQ(mem.total_reserved(), 6 * kHuge + capacity);
 }
 
 }  // namespace

@@ -15,10 +15,15 @@
 #include <stdexcept>
 #include <vector>
 
+#include "src/cpu/cpu_partition.h"
 #include "src/data/generator.h"
 #include "src/gpujoin/nonpartitioned.h"
 #include "src/gpujoin/output_ring.h"
 #include "src/gpujoin/partitioned_join.h"
+#include "src/outofgpu/coprocess.h"
+#include "src/outofgpu/transfer_mech.h"
+#include "src/systems/cogadb.h"
+#include "src/systems/dbmsx.h"
 #include "src/util/thread_pool.h"
 
 namespace gjoin {
@@ -450,6 +455,121 @@ TEST_F(LaunchDeterminismTest, RingStagingBoundedUnderOutputExplosion) {
   EXPECT_LE(staged1, static_cast<uint64_t>(kBlocks) * kCapacity);
   EXPECT_LT(staged1 * 100, 9000000u);  // << matches
   EXPECT_GT(staged1, kCapacity);  // several blocks really emitted
+}
+
+// ---------------------------------------------------------------------------
+// RingEmits: one bulk Emit of a stretch equals emitting it pair by pair
+// ---------------------------------------------------------------------------
+
+/// One Emit call: `n` consecutive pairs of `block`.
+struct EmitCall {
+  int block;
+  size_t n;
+};
+
+/// Runs one launch's record/assign/place phases into `ring`, emitting
+/// each call's pairs (numbered on from *next_pair) in bulk or one by one.
+void EmitLaunch(gpujoin::OutputRing* ring, int blocks,
+                const std::vector<EmitCall>& calls, bool bulk,
+                uint64_t* next_pair) {
+  gpujoin::RingEmits emits(ring, blocks);
+  for (const EmitCall& call : calls) {
+    std::vector<uint64_t> pairs(call.n);
+    for (uint64_t& pair : pairs) pair = ++*next_pair;
+    if (bulk) {
+      emits.Emit(call.block, pairs.data(), pairs.size());
+    } else {
+      for (uint64_t pair : pairs) emits.Emit(call.block, pair);
+    }
+  }
+  for (int b = 0; b < blocks; ++b) emits.Assign(b);
+  for (int b = 0; b < blocks; ++b) emits.Place(b);
+}
+
+TEST(RingEmitsTest, BulkEmissionEqualsPerPairEmission) {
+  constexpr size_t kCap = 16;
+  struct Case {
+    const char* name;
+    int blocks;
+    std::vector<std::vector<EmitCall>> launches;  ///< Into one ring.
+  };
+  const std::vector<Case> cases = {
+      {"n < cap", 1, {{{0, 5}}}},
+      {"n == cap", 1, {{{0, kCap}}}},
+      {"n > cap", 1, {{{0, 2 * kCap + 5}}}},
+      {"stretch straddles the wrap", 1, {{{0, 13}, {0, 7}}}},
+      {"stretches into a full tail", 1, {{{0, 20}, {0, 9}, {0, 3}, {0, 17}}}},
+      {"mixed blocks", 3, {{{1, 4}, {0, 30}, {2, 15}, {1, 14}, {2, 2}}}},
+      {"two launches into one ring", 2,
+       {{{0, 6}, {1, 3}}, {{1, 11}, {0, 9}, {1, 1}}}},
+  };
+  sim::DeviceMemory memory(1 << 20);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto per_pair =
+        std::move(gpujoin::OutputRing::Allocate(&memory, kCap)).ValueOrDie();
+    auto bulk =
+        std::move(gpujoin::OutputRing::Allocate(&memory, kCap)).ValueOrDie();
+    uint64_t next_a = 0, next_b = 0;
+    for (const auto& launch : c.launches) {
+      EmitLaunch(&per_pair, c.blocks, launch, /*bulk=*/false, &next_a);
+      EmitLaunch(&bulk, c.blocks, launch, /*bulk=*/true, &next_b);
+    }
+    EXPECT_EQ(bulk.total_written(), per_pair.total_written());
+    EXPECT_EQ(bulk.peak_staged_pairs(), per_pair.peak_staged_pairs());
+    for (size_t i = 0; i < kCap; ++i) {
+      EXPECT_EQ(bulk.pair(i), per_pair.pair(i)) << "slot " << i;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Work stays on the pool a device was given
+// ---------------------------------------------------------------------------
+
+TEST(DevicePoolTest, HostWorkStaysOnTheDevicesPool) {
+  // Probe chains several buckets long per partition, one bucket per work
+  // item: JoinCoPartitions builds its chunk memo (host-side work).
+  const data::Relation r = data::MakeUniqueUniform(20000, 41);
+  const data::Relation s = data::MakeUniformProbe(80000, 20000, 42);
+  util::ThreadPool pool{1};
+  util::ThreadPool* process_pool = util::ThreadPool::Default();
+  // Host partitions for the co-processing planner, made up front on the
+  // test's own pool.
+  outofgpu::CoProcessConfig co;
+  co.cpu.radix_bits = 4;
+  const hw::CpuCostModel cpu_model(hw::HardwareSpec::Icde2019Testbed().cpu);
+  auto build_parts = cpu::CpuRadixPartition(r, co.cpu, cpu_model, &pool);
+  auto probe_parts = cpu::CpuRadixPartition(s, co.cpu, cpu_model, &pool);
+  ASSERT_TRUE(build_parts.ok() && probe_parts.ok());
+
+  const size_t before = process_pool->tasks_submitted();
+  sim::Device device{hw::HardwareSpec::Icde2019Testbed(), &pool};
+  gpujoin::PartitionedJoinConfig cfg;
+  cfg.partition.pass_bits = {4};
+  cfg.join.max_probe_buckets_per_item = 1;
+  auto in_gpu = gpujoin::PartitionedJoinFromHost(&device, r, s, cfg);
+  ASSERT_TRUE(in_gpu.ok()) << in_gpu.status();
+  auto planned =
+      outofgpu::PlanCoProcessJoin(&device, *build_parts, *probe_parts, co);
+  ASSERT_TRUE(planned.ok()) << planned.status();
+  outofgpu::MechanismJoinConfig mech;
+  auto mech_join = outofgpu::MechanismJoin(&device, r, s, mech);
+  ASSERT_TRUE(mech_join.ok()) << mech_join.status();
+  auto cogadb = systems::CoGaDbJoin(&device, r, s);
+  ASSERT_TRUE(cogadb.ok()) << cogadb.status();
+  auto dbmsx = systems::DbmsXJoin(&device, r, s);
+  ASSERT_TRUE(dbmsx.ok()) << dbmsx.status();
+
+  EXPECT_EQ(process_pool->tasks_submitted(), before);
+  EXPECT_GT(pool.tasks_submitted(), 0u);
+  EXPECT_EQ(in_gpu->matches, 80000u);
+  uint64_t planned_matches = 0;
+  for (const auto& run : planned->runs) planned_matches += run.matches;
+  EXPECT_EQ(planned_matches, 80000u);
+  EXPECT_EQ(mech_join->matches, 80000u);
+  EXPECT_EQ(cogadb->matches, 80000u);
+  EXPECT_EQ(dbmsx->matches, 80000u);
 }
 
 }  // namespace
