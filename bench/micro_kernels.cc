@@ -23,6 +23,7 @@
 #include "src/gpujoin/partitioned_join.h"
 #include "src/sim/topology.h"
 #include "src/util/bits.h"
+#include "src/util/hostalloc.h"
 #include "src/util/probe_pipeline.h"
 
 namespace {
@@ -352,4 +353,17 @@ BENCHMARK(BM_TopologyPlacement)->Arg(1 << 16)
 
 }  // namespace
 
-BENCHMARK_MAIN();
+// All benchmarks share one process heap. Left alone, glibc raises its
+// mmap threshold whenever it frees a large mapped block, so a kernel's
+// host allocations would be mapped and faulted afresh or reused from the
+// heap depending on which benchmarks ran before it. Fixing the
+// thresholds up front, as the figure benches do, makes every timing
+// independent of the filter and the order.
+int main(int argc, char** argv) {
+  gjoin::util::TuneHostAllocatorForThroughput();
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

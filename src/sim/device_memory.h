@@ -11,12 +11,10 @@
 //
 // Host backing (util::AllocateZeroed): like a GPU's device memory, every
 // buffer of 2 MiB or more is its own 2 MiB-aligned mapping advised for
-// huge pages, so the host faults it in 2 MiB at a time; smaller buffers,
-// and all buffers of a process that opted into heap retention
-// (util::TuneHostAllocatorForThroughput), come from the heap. Either way
-// every allocation starts zeroed (unlike cudaMalloc), so kernels start
-// deterministic, and a mapping is zeroed by the kernel as it is touched
-// rather than by a memset up front.
+// huge pages, so the host faults it in 2 MiB at a time; smaller buffers
+// come from the heap. Either way every allocation starts zeroed (unlike
+// cudaMalloc), so kernels start deterministic, and a mapping is zeroed by
+// the kernel as it is touched rather than by a memset up front.
 
 #ifndef GJOIN_SIM_DEVICE_MEMORY_H_
 #define GJOIN_SIM_DEVICE_MEMORY_H_

@@ -2,7 +2,6 @@
 
 // <cstddef> drags in the libc feature macros; __GLIBC__ is undefined
 // until some libc header has been seen.
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -36,26 +35,7 @@ namespace gjoin::util {
 #if defined(GJOIN_HOSTALLOC_MAPS)
 namespace {
 
-enum Backing : int { kUndecided, kMapLarge, kHeapOnly };
-
-// Latched by the first AllocateZeroed or TuneHostAllocatorForThroughput
-// call and fixed from then on, so every block is freed the way it was
-// allocated.
-std::atomic<int> g_backing{kUndecided};
-
-int LatchBacking(int wanted) {
-  int current = g_backing.load(std::memory_order_relaxed);
-  if (current == kUndecided &&
-      g_backing.compare_exchange_strong(current, wanted,
-                                        std::memory_order_relaxed)) {
-    return wanted;
-  }
-  return current;
-}
-
-bool Mapped(size_t bytes) {
-  return bytes >= kHugePageBytes && LatchBacking(kMapLarge) == kMapLarge;
-}
+bool Mapped(size_t bytes) { return bytes >= kHugePageBytes; }
 
 /// `bytes` rounded up to whole base pages: the unit munmap trims by.
 size_t MappedLength(size_t bytes) {
@@ -107,19 +87,16 @@ void FreeZeroed(void* ptr, [[maybe_unused]] size_t bytes) {
 
 bool MapsLargeBlocks() {
 #if defined(GJOIN_HOSTALLOC_MAPS)
-  return LatchBacking(kMapLarge) == kMapLarge;
+  return true;
 #else
   return false;
 #endif
 }
 
 void TuneHostAllocatorForThroughput() {
-#if defined(GJOIN_HOSTALLOC_MAPS)
-  LatchBacking(kHeapOnly);
-#endif
 #if defined(__GLIBC__)
   // 1 GB: effectively "never mmap, never trim" for this workload's
-  // allocation sizes, so freed relation/device blocks stay reusable.
+  // allocation sizes, so freed relation and host blocks stay reusable.
   mallopt(M_MMAP_THRESHOLD, 1 << 30);
   mallopt(M_TRIM_THRESHOLD, 1 << 30);
 #endif

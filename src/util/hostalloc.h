@@ -7,20 +7,23 @@
 // huge pages, and smaller buffers with calloc. Every buffer starts
 // zeroed: a fresh mapping is zeroed by the kernel as it is first
 // touched, without a memset pass, and the host takes one page fault per
-// 2 MiB instead of one per 4 KiB. With THP disabled the mapping falls back to
-// base pages, which is still correct. Under AddressSanitizer every buffer
-// comes from the heap, so device buffers stay bounds-checked.
+// 2 MiB instead of one per 4 KiB. With THP disabled the mapping falls
+// back to base pages, which is still correct. Under AddressSanitizer
+// every buffer comes from the heap, so device buffers stay
+// bounds-checked.
 //
 // Allocator tuning. The benches allocate and free multi-hundred-MB
-// relation and device buffers once per figure point. glibc serves blocks
+// relation and host buffers once per figure point. glibc serves blocks
 // above its mmap threshold with a fresh mmap and returns them with
 // munmap, so every point re-faults pages the previous point just
 // released. Raising the mmap and trim thresholds keeps those blocks on
-// the heap free list, so the next point reuses already-resident pages;
-// device buffers then come from that heap too. Purely a host-side
-// wall-clock knob: charged stats and emitted figure rows are identical
-// with or without it. Call once at process start (the bench harness
-// does); the mallopt part is a no-op on non-glibc platforms.
+// the heap free list, so the next point reuses already-resident pages.
+// It leaves the device-buffer backing above alone: mapped buffers are
+// returned to the kernel when freed and cannot reuse retained heap
+// blocks. Purely a host-side wall-clock knob: charged stats and emitted
+// figure rows are identical with or without it. Call once at process
+// start (the bench harness and micro_kernels do); the mallopt part is a
+// no-op on non-glibc platforms.
 
 #ifndef GJOIN_UTIL_HOSTALLOC_H_
 #define GJOIN_UTIL_HOSTALLOC_H_
@@ -35,10 +38,8 @@ namespace gjoin::util {
 inline constexpr size_t kHugePageBytes = size_t{2} << 20;
 
 /// True when AllocateZeroed maps blocks of at least kHugePageBytes:
-/// Linux builds without AddressSanitizer, unless
-/// TuneHostAllocatorForThroughput ran first. Otherwise every block comes
-/// from the heap. The first call of this, AllocateZeroed or
-/// TuneHostAllocatorForThroughput fixes the answer for the process.
+/// Linux builds without AddressSanitizer. Otherwise every block comes
+/// from the heap. Fixed at compile time.
 bool MapsLargeBlocks();
 
 /// Returns `bytes` of zeroed host memory, aligned to kHugePageBytes when
@@ -52,11 +53,9 @@ void* AllocateZeroed(size_t bytes);
 void FreeZeroed(void* ptr, size_t bytes);
 
 /// Retains large freed heap blocks for reuse instead of returning them
-/// to the kernel, and keeps device buffers on that heap too, where they
-/// reuse the retained blocks (a separate mapping could not). Trades peak
-/// RSS (freed blocks stay resident) for throughput; processes that
-/// measure RSS should skip it. Device buffers stay mapped if any was
-/// allocated before this call.
+/// to the kernel. Trades peak RSS (freed blocks stay resident) for
+/// throughput; processes that measure RSS should skip it. Device buffers
+/// of at least kHugePageBytes are mapped either way.
 void TuneHostAllocatorForThroughput();
 
 }  // namespace gjoin::util

@@ -167,13 +167,20 @@ TEST(DeviceMemoryTest, MappedBuffersAreHugePageAligned) {
     GTEST_SKIP() << "this build backs every buffer with the heap";
   }
   DeviceMemory mem(64 * kHuge);
-  for (size_t bytes : {kHuge, kHuge + 8, 5 * kHuge + 12}) {
-    auto buf = std::move(mem.Allocate<uint8_t>(bytes)).ValueOrDie();
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(buf.data()) % kHuge, 0u)
-        << "bytes " << bytes;
-    // The whole block is writable, last byte included.
-    buf[bytes - 1] = 1;
-  }
+  auto check = [&] {
+    for (size_t bytes : {kHuge, kHuge + 8, 5 * kHuge + 12}) {
+      auto buf = std::move(mem.Allocate<uint8_t>(bytes)).ValueOrDie();
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(buf.data()) % kHuge, 0u)
+          << "bytes " << bytes;
+      // The whole block is writable, last byte included.
+      buf[bytes - 1] = 1;
+    }
+  };
+  check();
+  // Heap retention tunes the heap only; device buffers stay mapped.
+  util::TuneHostAllocatorForThroughput();
+  SCOPED_TRACE("after TuneHostAllocatorForThroughput");
+  check();
 }
 
 TEST(DeviceMemoryTest, MappedBuffersKeepMessagesAndPeak) {
