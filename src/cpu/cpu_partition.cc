@@ -142,12 +142,16 @@ HostPartitions StreamingCpuPartitioner::Finish() && {
     config_.metrics
         ->GetCounter("gjoin_partition_scatter_bytes_total",
                      "Bytes moved through the software-managed scatter "
-                     "buffers by host partitioning (8 per tuple).")
+                     "buffers by host partitioning (8 per tuple): the CPU "
+                     "partitioner, GPU pass 1 and partition-at-a-time later "
+                     "passes (bucket-at-a-time passes sort slices instead).")
         ->Increment(scatter_tuples_total_ * 8);
     config_.metrics
         ->GetCounter("gjoin_partition_scatter_flushes_total",
                      "Scatter-buffer flushes (full-buffer bursts plus "
-                     "end-of-scope drains) by host partitioning.")
+                     "end-of-scope drains) by host partitioning: the CPU "
+                     "partitioner, GPU pass 1 and partition-at-a-time later "
+                     "passes.")
         ->Increment(scatter_flushes_total_);
   }
   out_.seconds = CpuPartitionSeconds(

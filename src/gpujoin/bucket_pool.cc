@@ -1,5 +1,7 @@
 #include "src/gpujoin/bucket_pool.h"
 
+#include <algorithm>
+
 namespace gjoin::gpujoin {
 
 util::Result<std::shared_ptr<BucketPool>> BucketPool::Allocate(
@@ -46,6 +48,27 @@ int32_t BucketPool::AllocateBucket() {
 void BucketPool::FreeBucket(int32_t bucket) {
   util::MutexLock lock(&free_mu_);
   free_list_.push_back(bucket);
+}
+
+bool BucketPool::AllocateBuckets(size_t n, int32_t* out) {
+  {
+    util::MutexLock lock(&free_mu_);
+    if (free_list_.size() < n) return false;
+    // Same pop order as n AllocateBucket calls.
+    std::copy(free_list_.rbegin(), free_list_.rbegin() + n, out);
+    free_list_.resize(free_list_.size() - n);
+  }
+  // Popped buckets belong to the caller alone: reset them unlocked.
+  for (size_t i = 0; i < n; ++i) {
+    fill_[out[i]] = 0;
+    next_[out[i]] = kNull;
+  }
+  return true;
+}
+
+void BucketPool::FreeBuckets(const int32_t* buckets, size_t n) {
+  util::MutexLock lock(&free_mu_);
+  free_list_.insert(free_list_.end(), buckets, buckets + n);
 }
 
 uint32_t BucketPool::free_buckets() const {

@@ -44,6 +44,15 @@ class BucketPool {
   /// Returns a consumed bucket to the free list.
   void FreeBucket(int32_t bucket);
 
+  /// Batch AllocateBucket: pops `n` buckets into out[0, n) under one
+  /// acquisition of the free-list lock, each reset like AllocateBucket's.
+  /// False (and nothing popped) when fewer than `n` are free.
+  [[nodiscard]]
+  bool AllocateBuckets(size_t n, int32_t* out);
+
+  /// Batch FreeBucket: returns buckets[0, n) under one lock acquisition.
+  void FreeBuckets(const int32_t* buckets, size_t n);
+
   // --- Geometry ---
   uint32_t num_buckets() const { return num_buckets_; }
   uint32_t bucket_capacity() const { return bucket_capacity_; }

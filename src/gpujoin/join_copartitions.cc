@@ -77,21 +77,24 @@ struct BlockJoinState {
         block->ChargeRandomAccess(1, 8ull * ring_capacity);
         return;
       }
-      // Warp-buffered write: claim a slot in the shared buffer.
+      // Warp-buffered write: claim a slot in the shared buffer (charged
+      // at the flush, per staged pair).
       area->out_stage[area->out_fill++] = OutputRing::Pack(rpay, spay);
-      block->ChargeShared(8);
-      block->ChargeSharedAtomic(1);
       if (area->out_fill == cfg.out_stage_pairs) {
         FlushOut(block, area);
       }
     }
   }
 
+  /// Drains the staged pairs, charging each its slot claim (one shared
+  /// atomic, 8B staged) and its 8B re-read. Charging per flush rather
+  /// than per Match leaves every sum identical.
   void FlushOut(sim::Block* block, JoinSharedArea* area) {
     if (area->out_fill == 0) return;
     block->ChargeDeviceAtomic(1);  // global offset
     emits->Emit(block->block_id(), area->out_stage, area->out_fill);
-    block->ChargeShared(8ull * area->out_fill);
+    block->ChargeSharedAtomic(area->out_fill);
+    block->ChargeShared(16ull * area->out_fill);
     block->ChargeCoalescedWrite(8ull * area->out_fill);
     area->out_fill = 0;
   }

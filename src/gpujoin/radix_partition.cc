@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <functional>
+#include <atomic>
 
 #include "src/obs/metrics.h"
 #include "src/util/bits.h"
@@ -52,12 +52,16 @@ void PublishScatterCounters(
   config.metrics
       ->GetCounter("gjoin_partition_scatter_bytes_total",
                    "Bytes moved through the software-managed scatter "
-                   "buffers by host partitioning (8 per tuple).")
+                   "buffers by host partitioning (8 per tuple): the CPU "
+                   "partitioner, GPU pass 1 and partition-at-a-time later "
+                   "passes (bucket-at-a-time passes sort slices instead).")
       ->Increment(tuples * 8);
   config.metrics
       ->GetCounter("gjoin_partition_scatter_flushes_total",
                    "Scatter-buffer flushes (full-buffer bursts plus "
-                   "end-of-scope drains) by host partitioning.")
+                   "end-of-scope drains) by host partitioning: the CPU "
+                   "partitioner, GPU pass 1 and partition-at-a-time later "
+                   "passes.")
       ->Increment(flushes);
 }
 
@@ -195,214 +199,424 @@ size_t BlockLocalSharedBytes(uint32_t fanout, uint32_t stage_elems) {
   return static_cast<size_t>(fanout) * (5 * 4 + stage_elems * 8) + 7 * 16;
 }
 
-/// Device-memory-resident per-child-partition chain metadata, shared by
-/// all producing blocks (the bucket-at-a-time mode of later passes:
-/// several blocks feed the same children concurrently, so their current-
-/// bucket state cannot live in block-local shared memory — the paper's
-/// "accessing data in the GPU memory" cost).
+/// Charges one input bucket's visit by a later pass: the chain hop plus a
+/// coalesced scan of its `count` tuples.
+void ChargeBucketScan(sim::Block* block, uint32_t count,
+                      uint64_t input_tuples) {
+  block->ChargeRandomAccess(1, 8ull * input_tuples);
+  block->ChargeCoalescedRead(8ull * count);
+  block->ChargeCycles(
+      static_cast<uint64_t>(static_cast<double>(count) * kCyclesPerElement));
+}
+
+/// The input of a bucket-at-a-time later pass as the kernel deals it:
+/// every input bucket, parents ascending and each parent's chain head to
+/// tail. Position i goes to block i % num_blocks, so a block meets its
+/// buckets grouped by parent, parents ascending.
+struct DealtInput {
+  std::vector<int32_t> buckets;
+  /// buckets[parent_begin[p], parent_begin[p + 1]) belong to parent p.
+  std::vector<size_t> parent_begin;
+  std::vector<uint64_t> parent_tuples;
+
+  explicit DealtInput(const BucketChains& in)
+      : parent_begin(in.num_partitions() + 1),
+        parent_tuples(in.num_partitions()) {
+    for (uint32_t p = 0; p < in.num_partitions(); ++p) {
+      parent_begin[p] = buckets.size();
+      for (int32_t b = in.heads()[p]; b != BucketChains::kNull;
+           b = in.next()[b]) {
+        buckets.push_back(b);
+        parent_tuples[p] += in.fill()[b];
+      }
+    }
+    parent_begin[in.num_partitions()] = buckets.size();
+  }
+};
+
+/// What one block's body routes to each child, per parent visit: the
+/// counts every charge of the bucket-at-a-time pass is computed from.
+struct VisitCounts {
+  std::vector<uint32_t> parents;
+  /// counts[v * subfanout + sub]: tuples of visit v bound for child sub.
+  std::vector<uint32_t> counts;
+};
+
+/// One placement worker's scratch, reused across slices and launches.
+struct PlacementScratch {
+  std::vector<int32_t> slice;  ///< The slice's input buckets, in order.
+  std::vector<uint32_t> keys, pays;  ///< The slice, grouped by child.
+  std::vector<uint32_t> begin;  ///< Child c's run: [begin[c], begin[c+1]).
+  std::vector<uint32_t> cursor;
+  std::vector<int32_t> drawn;  ///< Output buckets drawn for the slice.
+};
+
+PlacementScratch& ThreadPlacementScratch() {
+  thread_local PlacementScratch scratch;
+  return scratch;
+}
+
+/// Placement phase of the bucket-at-a-time pass, parent-major. The body
+/// and epilogue only counted and charged; this writes every output chain.
+/// Each parent's children are fed by that parent alone, so a parent is
+/// one placement task: workers claim parents largest first, and for each
+/// walk its input buckets in canonical order — ascending owner block,
+/// then deal order — which is the order serialized block-order
+/// execution appends them in. Chain contents, fills and chain order are
+/// therefore those of that execution; only bucket ids follow the pool.
 ///
-/// Concurrent appends to a shared chain would land in host-scheduling
-/// order, so the three launch phases split the work:
-///  - body (AppendBulk): each block stages its runs privately, lock-free,
-///    paying the order-independent charges (stage flushes and their
-///    metadata atomics) where the kernel performs them;
-///  - epilogue (Assign): in ascending block id, each run is given its
-///    destination slots — buckets are allocated and prepended exactly as
-///    serialized block-order execution would, and the block is charged
-///    one device atomic per bucket it draws — without moving any tuple;
-///  - placement (Place): blocks copy their staged runs to the assigned
-///    slots concurrently (destinations are disjoint by construction).
-/// Chain structure, bucket contents and per-block charges are therefore
-/// bit-identical at every host pool width.
-class GlobalChains {
+/// The walk goes slice by slice. A slice is counting-sorted by child into
+/// worker scratch, its input buckets go back to the pool in one batch,
+/// the children's fresh buckets come out in one batch, and each child's
+/// run streams into its current bucket and then into new buckets
+/// prepended to the child's list.
+///
+/// Pool bound: freeing a slice before drawing for it keeps live buckets
+/// at or below the input's buckets plus one per child. For a parent
+/// whose slices so far carried o tuples, o_c of them to child c, the
+/// freed buckets number at least o / cap (none holds more than cap),
+/// while its children hold sum_c ceil(o_c / cap) <= o / cap + children
+/// of the parent. So at any instant, over all parents, live buckets =
+/// input not yet freed + drawn <= input buckets + output partitions,
+/// the headroom RadixPartition's pool sizing reserves.
+class ParentMajorPlacement {
  public:
-  GlobalChains(BucketChains* out, int num_blocks)
-      : out_(out),
-        cur_(out->num_partitions(), BucketChains::kNull),
-        per_block_(static_cast<size_t>(num_blocks)) {}
-
-  /// Sizes a block's staging for the `tuples` it will append, so the
-  /// staged copy is allocated once instead of grown by doubling.
-  void Reserve(int block_id, size_t tuples) {
-    PerBlock& pb = per_block_[static_cast<size_t>(block_id)];
-    pb.keys.reserve(tuples);
-    pb.pays.reserve(tuples);
-  }
-
-  /// Appends a staged run of `count` tuples to child partition `child`.
-  /// `flush_events` is how many stage flushes the tuple-at-a-time path
-  /// would have performed while staging this run (each flush pays one
-  /// device atomic plus one uncoalesced metadata transaction); the
-  /// caller tracks stage occupancy and passes the exact count, keeping
-  /// charged stats bit-identical.
-  void AppendBulk(sim::Block* block, uint32_t child, const uint32_t* keys,
-                  const uint32_t* pays, uint32_t count,
-                  uint32_t flush_events) {
-    if (count == 0 && flush_events == 0) return;
-    block->ChargeDeviceAtomic(flush_events);
-    block->ChargeRandomAccess(flush_events, 16ull * out_->num_partitions());
-    block->ChargeStageFlush(count);
-    if (count == 0) return;
-    PerBlock& pb = per_block_[static_cast<size_t>(block->block_id())];
-    pb.runs.push_back({child, count, 0});
-    pb.keys.insert(pb.keys.end(), keys, keys + count);
-    pb.pays.insert(pb.pays.end(), pays, pays + count);
-  }
-
-  /// Epilogue half: assigns this block's runs their slots in the shared
-  /// chains. Fills each child's current bucket to capacity before drawing
-  /// a fresh one (one device atomic each, charged to this block) and
-  /// prepends new buckets to the child's list; runs arrive in ascending
-  /// block order, so the chain order is canonical. Rewrites each run's
-  /// `target` from child to first destination bucket and records the
-  /// buckets a run spills into, in order.
-  void Assign(sim::Block* block) {
-    PerBlock& pb = per_block_[static_cast<size_t>(block->block_id())];
-    const uint32_t cap = out_->bucket_capacity();
-    for (Run& run : pb.runs) {
-      const uint32_t child = run.target;
-      uint32_t left = run.count;
-      bool first = true;
-      while (left > 0) {
-        int32_t b = cur_[child];
-        if (b == BucketChains::kNull || out_->fill()[b] == cap) {
-          b = out_->AllocateBucket();
-          block->ChargeDeviceAtomic(1);
-          if (b == BucketChains::kNull) {
-            // Pool exhausted: an internal sizing bug; make it loud.
-            std::fprintf(stderr, "gjoin: bucket pool exhausted\n");
-            std::abort();
-          }
-          out_->next()[b] = out_->heads()[child];
-          out_->heads()[child] = b;
-          cur_[child] = b;
-        }
-        if (first) {
-          run.target = static_cast<uint32_t>(b);
-          run.offset = out_->fill()[b];
-          first = false;
-        } else {
-          pb.spills.push_back(b);
-        }
-        const uint32_t batch = std::min(cap - out_->fill()[b], left);
-        out_->fill()[b] += batch;
-        left -= batch;
+  ParentMajorPlacement(const DealtInput& input, BucketChains* in,
+                       BucketChains* out, int num_blocks, int shift, int bits)
+      : input_(input),
+        in_(in),
+        out_(out),
+        num_blocks_(static_cast<size_t>(num_blocks)),
+        shift_(shift),
+        bits_(bits) {
+    for (uint32_t p = 0; p < input.parent_tuples.size(); ++p) {
+      if (input.parent_begin[p + 1] > input.parent_begin[p]) {
+        order_.push_back(p);
       }
+    }
+    std::stable_sort(order_.begin(), order_.end(),
+                     [&](uint32_t a, uint32_t b) {
+                       return input.parent_tuples[a] > input.parent_tuples[b];
+                     });
+  }
+
+  /// One placement task: claims parents until none are left. Only a
+  /// worker's first task in a launch claims any, so each worker counts
+  /// its scratch once.
+  void Run() {
+    PlacementScratch& s = ThreadPlacementScratch();
+    bool claimed = false;
+    for (size_t i = next_++; i < order_.size(); i = next_++) {
+      if (!claimed) {
+        claimed = true;
+        Reserve(&s);
+      }
+      PlaceParent(order_[i], &s);
     }
   }
 
-  /// Placement half: copies this block's staged runs to the slots Assign
-  /// gave them, then frees the staging. Runs shorter than a cache line
-  /// use plain stores (the typical run is a few dozen bytes, where
-  /// non-temporal stores' alignment head and write-combining cost more
-  /// than they save); longer ones stream. Charge-free by construction.
-  void Place(int block_id) {
-    PerBlock& pb = per_block_[static_cast<size_t>(block_id)];
-    const uint32_t cap = out_->bucket_capacity();
-    size_t src = 0;
-    size_t spill = 0;
-    for (const Run& run : pb.runs) {
-      auto b = static_cast<int32_t>(run.target);
-      uint32_t at = run.offset;
-      uint32_t done = 0;
-      for (;;) {
-        const uint32_t batch = std::min(cap - at, run.count - done);
-        const size_t dst = static_cast<size_t>(b) * cap + at;
-        CopyRun(pb.keys.data() + src + done, out_->keys() + dst, batch);
-        CopyRun(pb.pays.data() + src + done, out_->payloads() + dst, batch);
-        done += batch;
-        if (done == run.count) break;
-        b = pb.spills[spill++];
-        at = 0;
-      }
-      src += run.count;
-    }
-    pb = PerBlock();  // the staged copy is dead weight from here
-    util::StreamFence();
-  }
+  /// Scratch tuples the launch's placement workers held together.
+  uint64_t scratch_tuples() const { return scratch_tuples_; }
 
  private:
-  /// Tuples per 64-byte cache line (4-byte keys and payloads).
-  static constexpr uint32_t kLineElems = 16;
-
-  static void CopyRun(const uint32_t* src, uint32_t* dst, uint32_t n) {
-    if (n < kLineElems) {
-      std::copy_n(src, n, dst);
-    } else {
-      util::StreamCopyU32(src, dst, n);
+  void Reserve(PlacementScratch* s) {
+    const size_t tuples =
+        std::max<size_t>(kPlacementSliceTuples, out_->bucket_capacity());
+    if (s->keys.size() < tuples) {
+      s->keys.resize(tuples);
+      s->pays.resize(tuples);
     }
+    scratch_tuples_ += s->keys.size();
   }
 
-  struct Run {
-    /// Child partition until Assign, then the run's first destination
-    /// bucket.
-    uint32_t target;
-    uint32_t count;
-    /// First slot within the destination bucket (set by Assign).
-    uint32_t offset;
-  };
-  struct PerBlock {
-    std::vector<Run> runs;
-    std::vector<uint32_t> keys, pays;
-    /// Buckets the runs continue into past their first one, in run order.
-    std::vector<int32_t> spills;
-  };
-  BucketChains* out_;
-  std::vector<int32_t> cur_;
-  std::vector<PerBlock> per_block_;
-};
-
-/// Block-local staging only (no chain metadata) for producers that feed
-/// GlobalChains. The host appends staged runs; the stage-fill counters
-/// are kept exact so the number of simulated stage flushes (and their
-/// metadata charges) matches tuple-at-a-time execution bit for bit.
-struct StageOnly {
-  uint32_t fanout = 0;
-  uint32_t stage_elems = 0;
-  uint32_t* stage_fill = nullptr;
-  uint32_t* stage_keys = nullptr;
-  uint32_t* stage_pays = nullptr;
-
-  bool Alloc(sim::Block* block, uint32_t fanout_in, uint32_t stage_in) {
-    fanout = fanout_in;
-    stage_elems = stage_in;
-    auto& shared = block->shared();
-    stage_fill = shared.Alloc<uint32_t>(fanout);
-    stage_keys = shared.Alloc<uint32_t>(fanout * stage_elems);
-    stage_pays = shared.Alloc<uint32_t>(fanout * stage_elems);
-    return stage_fill != nullptr && stage_keys != nullptr &&
-           stage_pays != nullptr;
-  }
-
-  /// Appends a run of `count` tuples of sub-partition `sub`. The run is
-  /// written through the simulated stage: each tuple pays the stage push,
-  /// and every stage_elems-th tuple (relative to the current occupancy)
-  /// triggers one flush worth of metadata charges.
-  void AppendRun(sim::Block* block, GlobalChains* out, uint32_t gp_base,
-                 uint32_t sub, const uint32_t* keys, const uint32_t* pays,
-                 uint32_t count) {
-    block->ChargeStagePush(count);
-    const uint32_t occupied = stage_fill[sub] + count;
-    const uint32_t flushes = occupied / stage_elems;
-    stage_fill[sub] = occupied % stage_elems;
-    out->AppendBulk(block, gp_base + sub, keys, pays, count, flushes);
-  }
-
-  /// Drains all non-empty stages to children of gp_base (call before a
-  /// parent switch and at block end). Tuples were already appended by
-  /// AppendRun; this pays the final flush metadata per dirty stage.
-  void FlushAll(sim::Block* block, GlobalChains* out, uint32_t gp_base) {
-    for (uint32_t sub = 0; sub < fanout; ++sub) {
-      if (stage_fill[sub] > 0) {
-        out->AppendBulk(block, gp_base + sub, nullptr, nullptr, 0,
-                        /*flush_events=*/1);
-        stage_fill[sub] = 0;
+  void PlaceParent(uint32_t parent, PlacementScratch* s) {
+    const size_t first = input_.parent_begin[parent];
+    const size_t len = input_.parent_begin[parent + 1] - first;
+    size_t tuples = 0;
+    s->slice.clear();
+    for (size_t owner = 0; owner < num_blocks_; ++owner) {
+      // Deal position first + j belongs to block (first + j) % blocks.
+      for (size_t j = (owner + num_blocks_ - first % num_blocks_) %
+                      num_blocks_;
+           j < len; j += num_blocks_) {
+        const int32_t b = input_.buckets[first + j];
+        const uint32_t n = in_->fill()[b];
+        if (!s->slice.empty() && tuples + n > kPlacementSliceTuples) {
+          PlaceSlice(parent, s);
+          s->slice.clear();
+          tuples = 0;
+        }
+        s->slice.push_back(b);
+        tuples += n;
       }
     }
-    block->ChargeCycles(fanout / 32 + 1);
+    if (!s->slice.empty()) PlaceSlice(parent, s);
   }
+
+  void PlaceSlice(uint32_t parent, PlacementScratch* s) {
+    const uint32_t cap = out_->bucket_capacity();
+    const uint32_t subfanout = 1u << bits_;
+    s->begin.assign(subfanout + 1, 0);
+    s->cursor.resize(subfanout);
+    // Raw pointers: a store through the scratch vectors' uint32_t data
+    // could otherwise alias the pool's fills and force reloads.
+    uint32_t* begin = s->begin.data();
+    uint32_t* cursor = s->cursor.data();
+    uint32_t* to_keys = s->keys.data();
+    uint32_t* to_pays = s->pays.data();
+    const int shift = shift_;
+    const int bits = bits_;
+    for (const int32_t b : s->slice) {
+      const uint32_t* keys = in_->keys() + static_cast<size_t>(b) * cap;
+      const uint32_t n = in_->fill()[b];
+      for (uint32_t t = 0; t < n; ++t) {
+        ++begin[util::RadixOf(keys[t], shift, bits) + 1];
+      }
+    }
+    for (uint32_t c = 0; c < subfanout; ++c) {
+      begin[c + 1] += begin[c];
+      cursor[c] = begin[c];
+    }
+    for (const int32_t b : s->slice) {
+      const size_t base = static_cast<size_t>(b) * cap;
+      const uint32_t* keys = in_->keys() + base;
+      const uint32_t* pays = in_->payloads() + base;
+      const uint32_t n = in_->fill()[b];
+      for (uint32_t t = 0; t < n; ++t) {
+        const uint32_t at = cursor[util::RadixOf(keys[t], shift, bits)]++;
+        to_keys[at] = keys[t];
+        to_pays[at] = pays[t];
+      }
+    }
+    // The slice lives in scratch now: recycle its input first, so the
+    // draw below may reuse those very buckets (the pool bound above).
+    in_->pool()->FreeBuckets(s->slice.data(), s->slice.size());
+
+    int32_t* heads = out_->heads() + (static_cast<size_t>(parent) << bits_);
+    uint32_t* fill = out_->fill();
+    int32_t* next = out_->next();
+    size_t need = 0;
+    for (uint32_t c = 0; c < subfanout; ++c) {
+      const uint32_t n = s->begin[c + 1] - s->begin[c];
+      const uint32_t room =
+          heads[c] == BucketChains::kNull ? 0 : cap - fill[heads[c]];
+      if (n > room) need += CeilDiv(n - room, cap);
+    }
+    s->drawn.resize(need);
+    if (!out_->pool()->AllocateBuckets(need, s->drawn.data())) {
+      // Pool exhausted: an internal sizing bug; make it loud.
+      std::fprintf(stderr, "gjoin: bucket pool exhausted\n");
+      std::abort();
+    }
+    size_t drawn = 0;
+    for (uint32_t c = 0; c < subfanout; ++c) {
+      uint32_t at = s->begin[c];
+      while (at < s->begin[c + 1]) {
+        int32_t b = heads[c];
+        if (b == BucketChains::kNull || fill[b] == cap) {
+          b = s->drawn[drawn++];
+          next[b] = heads[c];
+          heads[c] = b;
+        }
+        const uint32_t batch = std::min(cap - fill[b], s->begin[c + 1] - at);
+        const size_t dst = static_cast<size_t>(b) * cap + fill[b];
+        std::copy_n(s->keys.data() + at, batch, out_->keys() + dst);
+        std::copy_n(s->pays.data() + at, batch, out_->payloads() + dst);
+        fill[b] += batch;
+        at += batch;
+      }
+    }
+  }
+
+  const DealtInput& input_;
+  BucketChains* in_;
+  BucketChains* out_;
+  size_t num_blocks_;
+  int shift_;
+  int bits_;
+  std::vector<uint32_t> order_;  ///< Parents with input, largest first.
+  std::atomic<size_t> next_{0};
+  std::atomic<uint64_t> scratch_tuples_{0};
 };
 
+/// Bucket-at-a-time later pass (the paper's choice: buckets dealt
+/// round-robin, skew-robust). Blocks share children, so the kernel keeps
+/// their chain metadata in device memory and stages only block-locally.
+/// The host splits it along the launch's phases:
+///  - body: reads only. Each block counts its tuples per (parent visit,
+///    child) and pays, from the counts, what staging and flushing them
+///    charges: per tuple a stage push and flush; per (visit, child) with
+///    t tuples ceil(t / stage_elems) flushes of one device atomic and one
+///    uncoalesced metadata access each; one stage drain per visit; and
+///    per input bucket its scan and the device atomic that recycles it.
+///  - epilogue: in ascending block id, each block is charged one device
+///    atomic per output bucket it would draw, from a running per-child
+///    fill. It moves and allocates nothing.
+///  - placement: ParentMajorPlacement writes the chains, charge-free.
+util::Result<sim::LaunchResult> BucketAtATimePass(
+    sim::Device* device, const sim::LaunchConfig& launch, BucketChains* in,
+    BucketChains* out, uint64_t input_tuples, int shift, int bits,
+    const RadixPartitionConfig& config, uint64_t* scratch_tuples) {
+  const uint32_t subfanout = 1u << bits;
+  const uint32_t cap = in->bucket_capacity();
+  const uint32_t stage_elems = config.stage_elems;
+  const uint64_t metadata_bytes = 16ull * out->num_partitions();
+  const size_t num_blocks = static_cast<size_t>(launch.num_blocks);
+  const DealtInput input(*in);
+  const size_t dealt = input.buckets.size();
+  std::vector<VisitCounts> visits(num_blocks);
+  // Free slots in each child's current bucket, as the epilogue fills it.
+  std::vector<uint32_t> child_room(out->num_partitions(), 0);
+  ParentMajorPlacement placement(input, in, out, launch.num_blocks, shift,
+                                 bits);
+
+  GJOIN_ASSIGN_OR_RETURN(
+      sim::LaunchResult result,
+      device->Launch(
+          launch,
+          [&](sim::Block& block) {
+            VisitCounts& vc = visits[static_cast<size_t>(block.block_id())];
+            const auto close_visit = [&] {
+              if (vc.parents.empty()) return;
+              const uint32_t* counts =
+                  vc.counts.data() + (vc.parents.size() - 1) * subfanout;
+              for (uint32_t sub = 0; sub < subfanout; ++sub) {
+                const uint32_t t = counts[sub];
+                if (t == 0) continue;
+                const uint64_t flushes = CeilDiv(t, stage_elems);
+                block.ChargeStagePush(t);
+                block.ChargeStageFlush(t);
+                block.ChargeDeviceAtomic(flushes);
+                block.ChargeRandomAccess(flushes, metadata_bytes);
+              }
+              block.ChargeCycles(subfanout / 32 + 1);
+            };
+            uint32_t parent = 0;
+            for (size_t i = static_cast<size_t>(block.block_id()); i < dealt;
+                 i += num_blocks) {
+              while (input.parent_begin[parent + 1] <= i) ++parent;
+              if (vc.parents.empty() || vc.parents.back() != parent) {
+                close_visit();
+                vc.parents.push_back(parent);
+                vc.counts.resize(vc.counts.size() + subfanout, 0);
+              }
+              uint32_t* counts =
+                  vc.counts.data() + vc.counts.size() - subfanout;
+              const int32_t b = input.buckets[i];
+              const uint32_t count = in->fill()[b];
+              ChargeBucketScan(&block, count, input_tuples);
+              const uint32_t* keys = in->keys() + static_cast<size_t>(b) * cap;
+              for (uint32_t t = 0; t < count; ++t) {
+                ++counts[util::RadixOf(keys[t], shift, bits)];
+              }
+              block.ChargeDeviceAtomic(1);  // recycling the input bucket
+            }
+            close_visit();
+          },
+          [&](sim::Block& block) {
+            VisitCounts& vc = visits[static_cast<size_t>(block.block_id())];
+            uint64_t draws = 0;
+            for (size_t v = 0; v < vc.parents.size(); ++v) {
+              uint32_t* room = child_room.data() +
+                               (static_cast<size_t>(vc.parents[v]) << bits);
+              const uint32_t* counts = vc.counts.data() + v * subfanout;
+              for (uint32_t sub = 0; sub < subfanout; ++sub) {
+                // ceil((fill + n) / cap) - ceil(fill / cap) fresh buckets.
+                if (counts[sub] <= room[sub]) {
+                  room[sub] -= counts[sub];
+                  continue;
+                }
+                const uint32_t spill = counts[sub] - room[sub];
+                const uint64_t fresh = CeilDiv(spill, cap);
+                draws += fresh;
+                room[sub] = static_cast<uint32_t>(fresh * cap - spill);
+              }
+            }
+            block.ChargeDeviceAtomic(draws);  // pool cursor, per bucket
+            vc = VisitCounts();
+          },
+          [&](int /*task*/) { placement.Run(); }));
+  *scratch_tuples = placement.scratch_tuples();
+  return result;
+}
+
+/// Partition-at-a-time later pass: parents are dealt round-robin whole,
+/// so a block is the sole producer of its parents' children and keeps
+/// their metadata in fast shared memory; the price is load imbalance
+/// under skew (max_block_cycles). Segments publish in the epilogue.
+util::Result<sim::LaunchResult> PartitionAtATimePass(
+    sim::Device* device, const sim::LaunchConfig& launch, BucketChains* in,
+    BucketChains* out, uint64_t input_tuples, int shift, int bits,
+    const RadixPartitionConfig& config) {
+  const uint32_t subfanout = 1u << bits;
+  const uint32_t capacity = in->bucket_capacity();
+  const auto num_blocks = static_cast<size_t>(launch.num_blocks);
+  const int scatter_tuples =
+      util::ResolveScatterBufferTuples(config.scatter_buffer_tuples);
+  std::vector<std::vector<uint32_t>> block_parents(num_blocks);
+  for (uint32_t p = 0; p < in->num_partitions(); ++p) {
+    if (in->heads()[p] != BucketChains::kNull) {
+      block_parents[p % num_blocks].push_back(p);
+    }
+  }
+  std::vector<std::vector<PendingSegment>> pending(num_blocks);
+  std::vector<util::ScatterBuffers::Counters> scatter_counters(num_blocks);
+
+  GJOIN_ASSIGN_OR_RETURN(
+      sim::LaunchResult result,
+      device->Launch(
+          launch,
+          [&](sim::Block& block) {
+            const auto id = static_cast<size_t>(block.block_id());
+            if (block_parents[id].empty()) return;
+            util::ScatterBuffers& sb = ScatterScratch();
+            sb.Init(subfanout, scatter_tuples);
+            BlockLocalChains local;
+            if (!local.Alloc(&block, subfanout, config.stage_elems)) return;
+            for (const uint32_t parent : block_parents[id]) {
+              local.ResetMeta(&block);
+              int32_t b = in->heads()[parent];
+              while (b != BucketChains::kNull) {
+                const int32_t next_b = in->next()[b];  // before recycling b
+                const size_t base = static_cast<size_t>(b) * capacity;
+                const uint32_t count = in->fill()[b];
+                ChargeBucketScan(&block, count, input_tuples);
+                const uint32_t* bkeys = in->keys() + base;
+                const uint32_t* bpays = in->payloads() + base;
+                for (uint32_t t = 0; t < count; ++t) {
+                  const uint32_t sub = util::RadixOf(bkeys[t], shift, bits);
+                  if (sb.Push(sub, bkeys[t], bpays[t])) {
+                    const util::ScatterBuffers::RunView run = sb.Run(sub);
+                    local.AppendRun(&block, out, sub, run.keys, run.pays,
+                                    run.count);
+                    sb.Clear(sub);
+                  }
+                }
+                // Staged copies make later pool reuse safe; free only
+                // after the bucket's tuples are read.
+                in->FreeBucket(b);
+                block.ChargeDeviceAtomic(1);
+                b = next_b;
+              }
+              sb.DrainAll(
+                  [&](uint32_t sub, util::ScatterBuffers::RunView run) {
+                    local.AppendRun(&block, out, sub, run.keys, run.pays,
+                                    run.count);
+                  });
+              local.Finish(&block, out, parent << bits, &pending[id]);
+            }
+            scatter_counters[id] = sb.TakeCounters();
+            util::StreamFence();
+          },
+          [&](sim::Block& block) {
+            for (const PendingSegment& seg :
+                 pending[static_cast<size_t>(block.block_id())]) {
+              out->PublishSegment(seg.partition, seg.first, seg.last);
+            }
+          }));
+  PublishScatterCounters(config, scatter_counters);
+  return result;
+}
 }  // namespace
 
 uint32_t AutoBucketCapacity(uint64_t tuples, uint32_t partitions) {
@@ -701,199 +915,32 @@ util::Result<PartitionedRelation> RadixPartitionNextPass(
   // the shared pool is a sanctioned mutation (no caller can observe the
   // drained input chains afterwards).
   BucketChains& in = prev.chains;
-  const uint32_t parents = in.num_partitions();
-  const uint32_t children = parents << bits;
-  const uint32_t capacity = in.bucket_capacity();
-  const int num_blocks =
-      config.num_blocks != 0
-          ? config.num_blocks
-          : device->spec().gpu.num_sms * device->spec().gpu.blocks_per_sm;
-  const int scatter_tuples =
-      util::ResolveScatterBufferTuples(config.scatter_buffer_tuples);
+  const uint32_t children = in.num_partitions() << bits;
   // Output chains share the input's pool: consumed input buckets are
   // recycled into output buckets, keeping the footprint near the data
   // size. The pool must still have headroom for one partial bucket per
-  // child plus in-flight buckets; RadixPartition sizes it accordingly.
+  // child; RadixPartition sizes it accordingly.
   GJOIN_ASSIGN_OR_RETURN(
       BucketChains chains,
       BucketChains::Allocate(&device->memory(), children, in.pool()));
 
-  // Build per-block work lists. Bucket-at-a-time deals individual buckets
-  // round-robin (skew-robust); partition-at-a-time deals whole parent
-  // chains (block becomes the sole producer of its children). In both
-  // modes a block's items are grouped by parent so metadata is
-  // initialized once per parent visit.
-  struct WorkItem {
-    uint32_t parent;
-    int32_t bucket;  // kNull in partition-at-a-time mode (whole chain)
-  };
-  std::vector<std::vector<WorkItem>> block_items(
-      static_cast<size_t>(num_blocks));
-  if (config.assignment == WorkAssignment::kBucketAtATime) {
-    size_t rr = 0;
-    for (uint32_t p = 0; p < parents; ++p) {
-      for (int32_t b = in.heads()[p]; b != BucketChains::kNull;
-           b = in.next()[b]) {
-        block_items[rr % num_blocks].push_back({p, b});
-        ++rr;
-      }
-    }
-    for (auto& items : block_items) {
-      std::stable_sort(items.begin(), items.end(),
-                       [](const WorkItem& a, const WorkItem& b) {
-                         return a.parent < b.parent;
-                       });
-    }
-  } else {
-    for (uint32_t p = 0; p < parents; ++p) {
-      if (in.heads()[p] != BucketChains::kNull) {
-        block_items[p % num_blocks].push_back({p, BucketChains::kNull});
-      }
-    }
-  }
-
   sim::LaunchConfig launch;
   launch.name = "radix_partition_pass2";
-  launch.num_blocks = num_blocks;
+  launch.num_blocks =
+      config.num_blocks != 0
+          ? config.num_blocks
+          : device->spec().gpu.num_sms * device->spec().gpu.blocks_per_sm;
   launch.threads_per_block = config.threads_per_block;
   launch.shared_mem_bytes = device->spec().gpu.shared_mem_per_block;
 
-  GlobalChains global(&chains, num_blocks);
-  const bool bucket_mode =
-      config.assignment == WorkAssignment::kBucketAtATime;
-  std::vector<std::vector<PendingSegment>> pending(
-      static_cast<size_t>(num_blocks));
-  std::vector<util::ScatterBuffers::Counters> scatter_counters(
-      static_cast<size_t>(num_blocks));
-
+  uint64_t scratch_tuples = 0;
   GJOIN_ASSIGN_OR_RETURN(
       sim::LaunchResult result,
-      device->Launch(launch, [&](sim::Block& block) {
-        const auto& items = block_items[static_cast<size_t>(block.block_id())];
-        if (items.empty()) return;
-
-        auto charge_bucket_scan = [&](uint32_t count) {
-          // Chain hop + coalesced scan of the bucket's tuples.
-          block.ChargeRandomAccess(1, 8ull * prev.tuples);
-          block.ChargeCoalescedRead(8ull * count);
-          block.ChargeCycles(static_cast<uint64_t>(
-              static_cast<double>(count) * kCyclesPerElement));
-        };
-
-        util::ScatterBuffers& sb = ScatterScratch();
-        sb.Init(subfanout, scatter_tuples);
-
-        if (bucket_mode) {
-          // Bucket-at-a-time: blocks share the children, so chain
-          // metadata lives in device memory (GlobalChains); only the
-          // staging buffers are block-local. Tuples route through the
-          // scatter buffers straight off each input bucket's scan; a
-          // parent's stage drains when its last item has been consumed.
-          StageOnly stage;
-          if (!stage.Alloc(&block, subfanout, config.stage_elems)) return;
-          for (uint32_t s = 0; s < subfanout; ++s) stage.stage_fill[s] = 0;
-          size_t block_tuples = 0;
-          for (const WorkItem& item : items) {
-            block_tuples += in.fill()[item.bucket];
-          }
-          global.Reserve(block.block_id(), block_tuples);
-
-          uint32_t open_parent = 0;
-          bool has_open = false;
-          auto close_parent = [&] {
-            if (!has_open) return;
-            sb.DrainAll([&](uint32_t sub, util::ScatterBuffers::RunView run) {
-              stage.AppendRun(&block, &global, open_parent << bits, sub,
-                              run.keys, run.pays, run.count);
-            });
-            stage.FlushAll(&block, &global, open_parent << bits);
-            has_open = false;
-          };
-
-          for (const WorkItem& item : items) {
-            if (!has_open || item.parent != open_parent) {
-              close_parent();
-              open_parent = item.parent;
-              has_open = true;
-            }
-            const size_t base =
-                static_cast<size_t>(item.bucket) * capacity;
-            const uint32_t count = in.fill()[item.bucket];
-            charge_bucket_scan(count);
-            const uint32_t* bkeys = in.keys() + base;
-            const uint32_t* bpays = in.payloads() + base;
-            for (uint32_t t = 0; t < count; ++t) {
-              const uint32_t sub = util::RadixOf(bkeys[t], shift, bits);
-              if (sb.Push(sub, bkeys[t], bpays[t])) {
-                const util::ScatterBuffers::RunView run = sb.Run(sub);
-                stage.AppendRun(&block, &global, open_parent << bits, sub,
-                                run.keys, run.pays, run.count);
-                sb.Clear(sub);
-              }
-            }
-            // The input bucket is fully consumed (its tuples are staged
-            // or recorded): recycle it.
-            in.FreeBucket(item.bucket);
-            block.ChargeDeviceAtomic(1);
-          }
-          close_parent();
-        } else {
-          // Partition-at-a-time: the block is the sole producer of its
-          // parents' children, so metadata stays in fast shared memory;
-          // the price is load imbalance under skew (max_block_cycles).
-          BlockLocalChains local;
-          if (!local.Alloc(&block, subfanout, config.stage_elems)) return;
-          for (const WorkItem& item : items) {
-            local.ResetMeta(&block);
-            int32_t b = in.heads()[item.parent];
-            while (b != BucketChains::kNull) {
-              const int32_t next_b = in.next()[b];  // before recycling b
-              const size_t base = static_cast<size_t>(b) * capacity;
-              const uint32_t count = in.fill()[b];
-              charge_bucket_scan(count);
-              const uint32_t* bkeys = in.keys() + base;
-              const uint32_t* bpays = in.payloads() + base;
-              for (uint32_t t = 0; t < count; ++t) {
-                const uint32_t sub = util::RadixOf(bkeys[t], shift, bits);
-                if (sb.Push(sub, bkeys[t], bpays[t])) {
-                  const util::ScatterBuffers::RunView run = sb.Run(sub);
-                  local.AppendRun(&block, &chains, sub, run.keys, run.pays,
-                                  run.count);
-                  sb.Clear(sub);
-                }
-              }
-              // Staged copies make later pool reuse safe; free only
-              // after the bucket's tuples are read.
-              in.FreeBucket(b);
-              block.ChargeDeviceAtomic(1);
-              b = next_b;
-            }
-            sb.DrainAll([&](uint32_t sub, util::ScatterBuffers::RunView run) {
-              local.AppendRun(&block, &chains, sub, run.keys, run.pays,
-                              run.count);
-            });
-            local.Finish(&block, &chains, item.parent << bits,
-                         &pending[static_cast<size_t>(block.block_id())]);
-          }
-        }
-        scatter_counters[static_cast<size_t>(block.block_id())] =
-            sb.TakeCounters();
-        util::StreamFence();
-      },
-      [&](sim::Block& block) {
-        if (bucket_mode) {
-          global.Assign(&block);
-        } else {
-          for (const PendingSegment& seg :
-               pending[static_cast<size_t>(block.block_id())]) {
-            chains.PublishSegment(seg.partition, seg.first, seg.last);
-          }
-        }
-      },
-      bucket_mode ? std::function<void(int)>(
-                        [&](int block_id) { global.Place(block_id); })
-                  : nullptr));
-  PublishScatterCounters(config, scatter_counters);
+      config.assignment == WorkAssignment::kBucketAtATime
+          ? BucketAtATimePass(device, launch, &in, &chains, prev.tuples,
+                              shift, bits, config, &scratch_tuples)
+          : PartitionAtATimePass(device, launch, &in, &chains, prev.tuples,
+                                 shift, bits, config));
 
   PartitionedRelation out;
   out.chains = std::move(chains);
@@ -903,6 +950,8 @@ util::Result<PartitionedRelation> RadixPartitionNextPass(
   out.seconds = prev.seconds + result.seconds;
   out.pass_seconds = std::move(prev.pass_seconds);
   out.pass_seconds.push_back(result.seconds);
+  out.peak_placement_scratch_tuples =
+      std::max(prev.peak_placement_scratch_tuples, scratch_tuples);
   return out;
 }
 

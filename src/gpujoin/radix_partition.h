@@ -15,6 +15,13 @@
 // CUDA block defines the total execution time"). Both assignments are
 // implemented; WorkAssignment selects them, and bench/abl_assignment
 // measures the trade-off.
+//
+// On the host, a bucket-at-a-time pass runs as the paper's kernels
+// partition: its blocks only count tuples per child and charge from the
+// counts, the launch epilogue charges the bucket draws those counts
+// imply, and the charge-free placement then writes each parent's
+// children in one parallel, parent-major sweep (see
+// RadixPartitionNextPass).
 
 #ifndef GJOIN_GPUJOIN_RADIX_PARTITION_H_
 #define GJOIN_GPUJOIN_RADIX_PARTITION_H_
@@ -70,7 +77,9 @@ struct RadixPartitionConfig {
 
   /// Host-side software-managed scatter-buffer size in tuples per
   /// destination (Section IV-B's buffered scatter, applied to the
-  /// simulator's own host execution). 0 = the process default
+  /// simulator's own host execution of pass 1 and of partition-at-a-time
+  /// later passes; bucket-at-a-time passes count, then place by
+  /// parent, and never stage through it). 0 = the process default
   /// (util::DefaultScatterBufferTuples), 1 = the scalar tuple-at-a-time
   /// reference loop. Purely a host-speed knob: results and charged
   /// KernelStats are bit-identical at every size
@@ -100,7 +109,17 @@ struct PartitionedRelation {
   uint64_t tuples = 0;      ///< Total elements across partitions.
   double seconds = 0;       ///< Modeled time summed over all passes.
   std::vector<double> pass_seconds;  ///< Modeled time per pass.
+  /// High-water mark of the host scratch, in tuples, that the placement
+  /// workers of this relation's bucket-at-a-time later passes held at
+  /// once: at most pool width x kPlacementSliceTuples (one bucket, when
+  /// a bucket is larger), whatever the input size. Observes only.
+  uint64_t peak_placement_scratch_tuples = 0;
 };
+
+/// Tuples one placement slice of a bucket-at-a-time later pass gathers
+/// (whole input buckets; a single larger bucket forms its own slice).
+/// Each placement worker counting-sorts a slice in scratch of this size.
+inline constexpr uint32_t kPlacementSliceTuples = 8192;
 
 /// \brief First-pass input assembled from host-staged chunks (e.g. the
 /// co-partitions of an out-of-GPU working set). A chunk either owns its
@@ -244,7 +263,8 @@ util::Result<PartitionedRelation> RadixPartitionFirstPass(
 /// partition p fans out to children [p * 2^bits, (p+1) * 2^bits).
 /// Takes `prev` by value: the pass consumes the input chains, recycling
 /// their buckets into the shared pool as it drains them (callers that
-/// kept a handle would otherwise observe half-drained chains).
+/// kept a handle would otherwise observe half-drained chains). The pool
+/// needs room for prev's buckets plus one bucket per child.
 [[nodiscard]]
 util::Result<PartitionedRelation> RadixPartitionNextPass(
     sim::Device* device, PartitionedRelation prev, int shift, int bits,

@@ -85,8 +85,8 @@ util::Result<LaunchResult> Device::Launch(
     }
   }
   if (place) {
-    // Charge-free placement: every destination is fixed, so blocks write
-    // their staged output concurrently.
+    // Charge-free placement: every destination is fixed, so the tasks
+    // (blocks, or units a kernel hands out) write concurrently.
     pool_->ParallelForRanges(
         static_cast<size_t>(num_blocks),
         [&](size_t /*worker*/, size_t begin, size_t end) {

@@ -86,12 +86,15 @@ class Device {
   ///     and never moves tuple or pair data: it is the launch's serial
   ///     floor, so it stays O(blocks + segments). (The non-partitioned
   ///     chain build still writes its nodes here; see nonpartitioned.cc.)
-  ///  3. Placement (optional). `place(block_id)` runs concurrently on the
-  ///     device's pool once every epilogue has returned; each block copies
-  ///     its staged output to the destinations its epilogue assigned.
-  ///     Placement receives a block id, not a Block, so by its type it
-  ///     cannot charge: everything modeled was settled in phases 1–2.
-  ///     Destinations of different blocks must be disjoint.
+  ///  3. Placement (optional). `place(task)` runs concurrently on the
+  ///     device's pool once every epilogue has returned, once for each
+  ///     task in [0, num_blocks). A task is usually a block copying its
+  ///     staged output to the destinations its epilogue assigned, but a
+  ///     kernel may hand out other units: the bucket-at-a-time partition
+  ///     pass makes each task claim whole parent partitions from a shared
+  ///     cursor. Placement receives an index, not a Block, so by its type
+  ///     it cannot charge: everything modeled was settled in phases 1–2.
+  ///     Destinations of different units must be disjoint.
   ///
   /// This is the paper's recipe applied to the host: output positions
   /// come from counts (or one atomic per block), then every block writes

@@ -54,6 +54,31 @@ TEST_F(PoolTest, AllocationResetsBucketState) {
   EXPECT_EQ(pool->next()[again], BucketPool::kNull);
 }
 
+TEST_F(PoolTest, BatchCallsMatchSingleCalls) {
+  auto batched =
+      std::move(BucketPool::Allocate(&device_.memory(), 8, 16)).ValueOrDie();
+  auto single =
+      std::move(BucketPool::Allocate(&device_.memory(), 8, 16)).ValueOrDie();
+  int32_t got[8];
+  ASSERT_TRUE(batched->AllocateBuckets(5, got));
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(got[i], single->AllocateBucket()) << "pop order, slot " << i;
+    batched->fill()[got[i]] = 3;
+    batched->next()[got[i]] = 0;
+  }
+  // Too few left: nothing is popped.
+  EXPECT_FALSE(batched->AllocateBuckets(4, got + 5));
+  EXPECT_EQ(batched->free_buckets(), 3u);
+  batched->FreeBuckets(got, 5);
+  EXPECT_EQ(batched->free_buckets(), 8u);
+  // The last freed bucket comes back first, reset.
+  int32_t again = BucketPool::kNull;
+  ASSERT_TRUE(batched->AllocateBuckets(1, &again));
+  EXPECT_EQ(again, got[4]);
+  EXPECT_EQ(batched->fill()[again], 0u);
+  EXPECT_EQ(batched->next()[again], BucketPool::kNull);
+}
+
 TEST_F(PoolTest, RejectsZeroGeometry) {
   EXPECT_FALSE(BucketPool::Allocate(&device_.memory(), 0, 64).ok());
   EXPECT_FALSE(BucketPool::Allocate(&device_.memory(), 8, 0).ok());

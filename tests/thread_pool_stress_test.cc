@@ -20,6 +20,7 @@
 #include "src/gpujoin/nonpartitioned.h"
 #include "src/gpujoin/output_ring.h"
 #include "src/gpujoin/partitioned_join.h"
+#include "src/gpujoin/radix_partition.h"
 #include "src/outofgpu/coprocess.h"
 #include "src/outofgpu/transfer_mech.h"
 #include "src/systems/cogadb.h"
@@ -161,9 +162,9 @@ TEST_F(LaunchDeterminismTest, PartitionedJoinIdenticalAcrossPoolWidths) {
 
 TEST_F(LaunchDeterminismTest, PartitionAtATimeSecondPassIdentical) {
   // The default (bucket-at-a-time) second pass runs in the test above
-  // through the GlobalChains assign/place phases; this covers the
-  // partition-at-a-time assignment, whose deferred segment publishes
-  // replay through the same epilogue.
+  // through its count/charge/parent-major placement phases; this covers
+  // the partition-at-a-time assignment, whose deferred segment publishes
+  // replay through the epilogue.
   gpujoin::PartitionedJoinConfig cfg;
   cfg.partition.pass_bits = {4, 4};
   cfg.partition.assignment = gpujoin::WorkAssignment::kPartitionAtATime;
@@ -308,9 +309,11 @@ uint64_t RingDigest(const gpujoin::OutputRing& ring) {
 }
 
 TEST_F(LaunchDeterminismTest, Pass2RunsStraddlingBucketsIdentical) {
-  // 16-tuple buckets against 256-tuple scatter-buffer runs: nearly every
-  // second-pass run spills across several freshly drawn buckets, so the
-  // epilogue's spill list and placement's bucket hops are exercised.
+  // 16-tuple buckets: most children's tuples span several buckets, so
+  // the epilogue's per-block bucket-draw charges and placement's bucket
+  // hops and prepends are exercised. The scatter-buffer size no longer
+  // reaches the second pass (it counts, then places parent by parent);
+  // the digest is the one the staged-run implementation produced.
   gpujoin::RadixPartitionConfig pc;
   pc.pass_bits = {4, 4};
   pc.bucket_capacity = 16;
@@ -334,6 +337,81 @@ TEST_F(LaunchDeterminismTest, Pass2RunsStraddlingBucketsIdentical) {
     run(&d8, &got);
     EXPECT_EQ(got, ref);
     ExpectSameProfile(d1, d8);
+  }
+}
+
+/// Total buckets on every chain of `rel`.
+uint64_t ChainBuckets(const gpujoin::PartitionedRelation& rel) {
+  uint64_t buckets = 0;
+  for (uint32_t p = 0; p < rel.chains.num_partitions(); ++p) {
+    buckets += rel.chains.PartitionBuckets(p).size();
+  }
+  return buckets;
+}
+
+/// `n` tuples, every other one in first-pass parent 3 (low 4 key bits),
+/// so that parent holds half the input.
+data::Relation HotParentRelation(uint32_t n) {
+  data::Relation rel;
+  for (uint32_t i = 0; i < n; ++i) {
+    rel.keys.push_back(i % 2 == 0 ? ((i * 40503u) << 4) | 3u
+                                  : i * 2654435761u);
+    rel.payloads.push_back(i);
+  }
+  return rel;
+}
+
+TEST_F(LaunchDeterminismTest, Pass2HotParentWithinPoolBoundIdentical) {
+  // One parent holds half of 60000 tuples: several placement slices of
+  // one parent and 16-tuple buckets. With 8 blocks, the pool
+  // RadixPartition sizes leaves less headroom than one slice's worth of
+  // buckets: enough for placement, which frees a slice's input before
+  // drawing its output, but not for drawing first.
+  const data::Relation rel = HotParentRelation(60000);
+  ASSERT_GT(rel.size() / 2, gpujoin::kPlacementSliceTuples);
+  gpujoin::RadixPartitionConfig pc;
+  pc.pass_bits = {4, 4};
+  pc.bucket_capacity = 16;
+  pc.num_blocks = 8;
+  const auto run = [&](sim::Device* dev, uint64_t* digest) {
+    auto up = gpujoin::DeviceRelation::Upload(dev, rel);
+    ASSERT_TRUE(up.ok()) << up.status();
+    auto parted = gpujoin::RadixPartition(dev, *up, pc);
+    ASSERT_TRUE(parted.ok()) << parted.status();
+    ASSERT_EQ(parted->chains.TotalElements(), rel.size());
+    const gpujoin::BucketPool& pool = *parted->chains.pool();
+    EXPECT_EQ(pool.free_buckets(), pool.num_buckets() - ChainBuckets(*parted));
+    *digest = ChainDigest(*parted);
+  };
+  sim::Device d1{hw::HardwareSpec::Icde2019Testbed(), &pool1_};
+  uint64_t ref = 0;
+  run(&d1, &ref);
+  EXPECT_EQ(ref, 16580930998825270802ull);
+  sim::Device d8{hw::HardwareSpec::Icde2019Testbed(), &pool8_};
+  uint64_t got = 0;
+  run(&d8, &got);
+  EXPECT_EQ(got, ref);
+  ExpectSameProfile(d1, d8);
+}
+
+TEST_F(LaunchDeterminismTest, Pass2PlacementScratchBoundedByWorkers) {
+  // Placement sorts one slice at a time in per-worker scratch, so its
+  // host scratch depends on the pool width, not on the input size.
+  for (util::ThreadPool* pool : {&pool1_, &pool8_}) {
+    for (const uint32_t n : {20000u, 200000u}) {
+      SCOPED_TRACE(std::to_string(pool->num_threads()) + " workers, " +
+                   std::to_string(n) + " tuples");
+      sim::Device dev{hw::HardwareSpec::Icde2019Testbed(), pool};
+      gpujoin::RadixPartitionConfig pc;
+      pc.pass_bits = {4, 4};
+      auto up = gpujoin::DeviceRelation::Upload(&dev, HotParentRelation(n));
+      ASSERT_TRUE(up.ok()) << up.status();
+      auto parted = gpujoin::RadixPartition(&dev, *up, pc);
+      ASSERT_TRUE(parted.ok()) << parted.status();
+      const uint64_t peak = parted->peak_placement_scratch_tuples;
+      EXPECT_GT(peak, 0u);
+      EXPECT_LE(peak, pool->num_threads() * gpujoin::kPlacementSliceTuples);
+    }
   }
 }
 
