@@ -99,8 +99,9 @@ int Run(int argc, char** argv) {
       util::ExitOnError(prepared.status(), "fig08");
       for_each_ratio([&](int ratio, size_t probe_n, const data::Relation& s,
                          const data::OracleResult& oracle, auto emit) {
-        auto stats = gpujoin::PartitionedJoinFromHostWithBuild(
-            &device, *prepared, s, part_cfg);
+        auto stats = gpujoin::PartitionedJoin(
+            &device, *prepared, gpujoin::PartitionInput::FromHost(s),
+            part_cfg);
         util::ExitOnError(stats.status(), "fig08");
         bench::VerifyJoin(stats->matches, stats->payload_sum, oracle,
                           "fig08 partitioned join");

@@ -128,7 +128,7 @@ struct JoinConfig {
   /// for the *functional* partitioning scatters (host and simulated GPU
   /// passes): tuples stage in small per-partition buffers and flush to
   /// their destination as line-granularity non-temporal bursts. 0 =
-  /// process default (util::DefaultScatterBufferTuples, initially 64),
+  /// process default (util::DefaultScatterBufferTuples, initially 256),
   /// 1 = scalar reference loop (today's per-tuple scatter). Purely a
   /// host wall-clock knob: join results and charged KernelStats are
   /// bit-identical at every size.

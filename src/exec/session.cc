@@ -28,6 +28,16 @@ using gjoin::gpujoin::PreparedBuild;
 
 namespace {
 
+/// A device artifact one query reads from its device's UploadCache.
+template <typename T>
+struct Acquired {
+  std::string key;
+  const T* artifact = nullptr;
+  bool shared = false;          // served from the cache
+  uint64_t artifact_bytes = 0;  // device bytes of a fresh production
+};
+using AcquiredBuild = Acquired<PreparedBuild>;
+
 /// The strategy-independent join configuration a standalone gjoin::Join
 /// derives from the API config.
 PartitionedJoinConfig MakeJoinConfig(const api::JoinConfig& config) {
@@ -1052,43 +1062,45 @@ util::Status Session::ExecuteAttempt(int index, api::Strategy strategy,
     return -1;
   };
 
-  // This query's partitioned build: a cache hit, or a fresh upload +
-  // partition inserted into the cache (kept private in `*local` when
-  // over budget) with the upload's transfer faults charged.
-  struct AcquiredBuild {
-    std::string key;
-    const PreparedBuild* prepared = nullptr;
-    bool shared = false;          // served from the cache
-    uint64_t artifact_bytes = 0;  // device bytes of a fresh production
-  };
-  auto acquire_build = [&](const PartitionedJoinConfig& cfg,
-                           PreparedBuild* local)
-      -> util::Result<AcquiredBuild> {
-    AcquiredBuild acquired;
-    acquired.key = UploadCache::BuildKey(build, cfg.partition);
+  // One device artifact this query reads: a cache hit (counted in
+  // `*hits`), or `produce()` run into `*local` and inserted into the
+  // cache (kept private in `*local` when over budget), with the upload
+  // of `rel` it took charged for transfer faults.
+  auto acquire = [&]<typename T>(std::string key, T* local, auto produce,
+                                 const data::Relation& rel, const char* what,
+                                 size_t* hits) -> util::Result<Acquired<T>> {
+    Acquired<T> acquired;
+    acquired.key = std::move(key);
     leases.Add(acquired.key);
-    acquired.prepared = dcache.AcquireBuild(acquired.key);
-    acquired.shared = acquired.prepared != nullptr;
+    acquired.artifact = dcache.Acquire<T>(acquired.key);
+    acquired.shared = acquired.artifact != nullptr;
     if (acquired.shared) {
-      ++stats_.shared_build_hits;
+      ++*hits;
       return acquired;
     }
     const uint64_t before = dev->memory().used();
-    GJOIN_ASSIGN_OR_RETURN(
-        *local, gjoin::gpujoin::PreparePartitionedBuild(dev, build, cfg));
+    GJOIN_ASSIGN_OR_RETURN(*local, produce());
     acquired.artifact_bytes = dev->memory().used() - before;
-    util::Result<const PreparedBuild*> cached =
-        dcache.InsertBuild(acquired.key, local, acquired.artifact_bytes);
+    util::Result<const T*> cached =
+        dcache.Insert(acquired.key, local, acquired.artifact_bytes);
     if (!cached.ok()) {
       if (config_.strict_cache_budget) return cached.status();
-      acquired.prepared = local;  // over-budget artifact stays private
+      acquired.artifact = local;  // over-budget artifact stays private
     } else {
-      acquired.prepared = *cached != nullptr ? *cached : local;
+      acquired.artifact = *cached != nullptr ? *cached : local;
     }
-    GJOIN_RETURN_NOT_OK(ChargeTransferFaults(query.device, injector,
-                                             pcie.DmaSeconds(build.bytes()),
-                                             "build", result));
+    GJOIN_RETURN_NOT_OK(ChargeTransferFaults(
+        query.device, injector, pcie.DmaSeconds(rel.bytes()), what, result));
     return acquired;
+  };
+  // This query's partitioned build: one partitioned form serves every
+  // probe against it.
+  auto acquire_build = [&](const PartitionedJoinConfig& cfg,
+                           PreparedBuild* local) {
+    return acquire(
+        UploadCache::BuildKey(build, cfg.partition), local,
+        [&] { return gjoin::gpujoin::PreparePartitionedBuild(dev, build, cfg); },
+        build, "build", &stats_.shared_build_hits);
   };
 
   // Links this query's build-artifact ops into the merged graph: aliases
@@ -1121,7 +1133,7 @@ util::Status Session::ExecuteAttempt(int index, api::Strategy strategy,
       ++stats_.replicated_builds;
       const double peer_s = peer.PeerCopySeconds(artifact_bytes_[build_key]);
       const double fresh_s =
-          pcie.DmaSeconds(build.bytes()) + acquired.prepared->parted.seconds;
+          pcie.DmaSeconds(build.bytes()) + acquired.artifact->parted.seconds;
       if (peer_s < fresh_s) {
         const NodeId src_part =
             artifact_nodes_[build_key + "@" + std::to_string(source)][1];
@@ -1153,46 +1165,27 @@ util::Status Session::ExecuteAttempt(int index, api::Strategy strategy,
       cfg.join.output = query.config.materialize ? OutputMode::kMaterialize
                                                  : OutputMode::kAggregate;
 
-      // Build side: one partitioned form serves every probe against it.
       PreparedBuild local_build;
       GJOIN_ASSIGN_OR_RETURN(const AcquiredBuild r_build,
                              acquire_build(cfg, &local_build));
-      if (cfg.join.key_bits == 0) {
-        cfg.join.key_bits = r_build.prepared->key_bits;
-      }
 
-      // Probe side: deduplicated raw upload, partitioned per query.
-      const std::string probe_key = UploadCache::UploadKey(probe);
-      leases.Add(probe_key);
+      // Probe side: deduplicated raw upload, partitioned per query from
+      // the borrowed (possibly cached) copy.
       DeviceRelation local_probe;
-      const DeviceRelation* s_dev = dcache.AcquireUpload(probe_key);
-      const bool probe_shared = s_dev != nullptr;
-      if (probe_shared) {
-        ++stats_.shared_upload_hits;
-      } else {
-        const uint64_t before = dev->memory().used();
-        GJOIN_ASSIGN_OR_RETURN(local_probe,
-                               DeviceRelation::Upload(dev, probe));
-        const uint64_t bytes = dev->memory().used() - before;
-        util::Result<const DeviceRelation*> cached =
-            dcache.InsertUpload(probe_key, &local_probe, bytes);
-        if (!cached.ok()) {
-          if (config_.strict_cache_budget) return cached.status();
-          s_dev = &local_probe;  // over-budget artifact stays private
-        } else {
-          s_dev = *cached != nullptr ? *cached : &local_probe;
-        }
-        GJOIN_RETURN_NOT_OK(ChargeTransferFaults(
-            query.device, injector, pcie.DmaSeconds(probe.bytes()), "probe",
-            result));
-      }
+      GJOIN_ASSIGN_OR_RETURN(
+          const Acquired<DeviceRelation> s_dev,
+          acquire(
+              UploadCache::UploadKey(probe), &local_probe,
+              [&] { return DeviceRelation::Upload(dev, probe); }, probe,
+              "probe", &stats_.shared_upload_hits));
 
       GJOIN_ASSIGN_OR_RETURN(
           PartitionedRelation s_parted,
-          gjoin::gpujoin::RadixPartition(dev, *s_dev, cfg.partition));
+          gjoin::gpujoin::RadixPartition(dev, *s_dev.artifact,
+                                         cfg.partition));
 
       GJOIN_ASSIGN_OR_RETURN(
-          stats, gjoin::gpujoin::JoinPartedPair(dev, r_build.prepared->parted,
+          stats, gjoin::gpujoin::JoinPartedPair(dev, *r_build.artifact,
                                                 s_parted, cfg, probe.size()));
       // The one-time input transfer (the paper's in-GPU numbers assume
       // resident data; end-to-end reporting charges it separately).
@@ -1204,7 +1197,7 @@ util::Status Session::ExecuteAttempt(int index, api::Strategy strategy,
       const sim::OpId h2d_r = solo.Add(
           sim::Engine::kCopyH2D, pcie.DmaSeconds(build.bytes()), {}, "h2d:R");
       const sim::OpId part_r =
-          solo.Add(sim::Engine::kComputeGpu, r_build.prepared->parted.seconds,
+          solo.Add(sim::Engine::kComputeGpu, r_build.artifact->parted.seconds,
                    {h2d_r}, "part:R");
       const sim::OpId h2d_s = solo.Add(
           sim::Engine::kCopyH2D, pcie.DmaSeconds(probe.bytes()), {}, "h2d:S");
@@ -1214,22 +1207,22 @@ util::Status Session::ExecuteAttempt(int index, api::Strategy strategy,
                "join");
 
       if (split) {
-        EmitSplitInGpu(index, graph, r_build.prepared->parted.seconds,
+        EmitSplitInGpu(index, graph, r_build.artifact->parted.seconds,
                        s_parted.seconds, stats.join_s, r_build.shared,
-                       dcache.Contains(r_build.key), probe_shared,
-                       dcache.Contains(probe_key));
+                       dcache.Contains(r_build.key), s_dev.shared,
+                       dcache.Contains(s_dev.key));
         split_emitted = true;
         break;
       }
 
       link_build_artifact(r_build, h2d_r, part_r);
-      const auto probe_reg = artifact_nodes_.find(probe_key + device_tag);
-      if (probe_shared && probe_reg != artifact_nodes_.end()) {
+      const auto probe_reg = artifact_nodes_.find(s_dev.key + device_tag);
+      if (s_dev.shared && probe_reg != artifact_nodes_.end()) {
         alias[h2d_s] = probe_reg->second[0];
-      } else if (probe_shared || dcache.Contains(probe_key)) {
+      } else if (s_dev.shared || dcache.Contains(s_dev.key)) {
         // Fresh production, or a hit charged under a different slicing
         // (see link_build_artifact): register this query's charged op.
-        produced.push_back({probe_key + device_tag, {h2d_s}});
+        produced.push_back({s_dev.key + device_tag, {h2d_s}});
       }
       break;
     }
@@ -1242,7 +1235,7 @@ util::Status Session::ExecuteAttempt(int index, api::Strategy strategy,
       // An empty build is never uploaded: the run reads no build side.
       PreparedBuild local_build;
       AcquiredBuild r_build;
-      r_build.prepared = &local_build;
+      r_build.artifact = &local_build;
       if (!build.empty()) {
         GJOIN_ASSIGN_OR_RETURN(r_build,
                                acquire_build(stream_cfg.join, &local_build));
@@ -1251,7 +1244,7 @@ util::Status Session::ExecuteAttempt(int index, api::Strategy strategy,
       GJOIN_ASSIGN_OR_RETURN(
           outofgpu::StreamingProbeRun run,
           outofgpu::StreamingProbeExecute(dev, build, probe, stream_cfg,
-                                          *r_build.prepared));
+                                          *r_build.artifact));
       stats = run.stats;
       solo = std::move(run.timeline);
       if (!build.empty()) {

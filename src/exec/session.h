@@ -18,8 +18,10 @@
 //      partitioned over the group, probe work splits);
 //   3. device uploads of relations shared between queries are
 //      deduplicated through per-device refcounted, memory-budgeted
-//      UploadCaches; all probes against a common build side reuse one
-//      partitioned build per device (PreparePartitionedBuild), and
+//      UploadCaches (one typed Acquire<T>/Insert<T> pair for raw
+//      uploads and prepared builds); all probes against a common build
+//      side reuse one partitioned build per device
+//      (gpujoin::PreparedBuild), and
 //      co-processing queries of a common relation reuse its CPU
 //      pre-partitioning; pinned-buffer staging placement comes from the
 //      NUMA planner (hw::numa::PlacementPlanner);

@@ -34,7 +34,8 @@ int UploadCache::DemandOf(const std::string& key) const {
   return it != demand_.end() ? it->second : 0;
 }
 
-UploadCache::Entry* UploadCache::Lookup(const std::string& key) {
+template <typename T>
+const T* UploadCache::Acquire(const std::string& key) {
   auto it = entries_.find(key);
   if (it == entries_.end()) {
     ++stats_.misses;
@@ -45,21 +46,9 @@ UploadCache::Entry* UploadCache::Lookup(const std::string& key) {
   ++entry.in_use;
   entry.last_use = ++use_clock_;
   if (entry.future_uses > 0) --entry.future_uses;
-  auto demand = demand_.find(key);
-  if (demand != demand_.end() && demand->second > 0) --demand->second;
-  return &entry;
-}
-
-const gjoin::gpujoin::DeviceRelation* UploadCache::AcquireUpload(
-    const std::string& key) {
-  Entry* entry = Lookup(key);
-  return entry != nullptr ? entry->upload.get() : nullptr;
-}
-
-const gjoin::gpujoin::PreparedBuild* UploadCache::AcquireBuild(
-    const std::string& key) {
-  Entry* entry = Lookup(key);
-  return entry != nullptr ? entry->build.get() : nullptr;
+  ConsumeDeclaredUse(key);
+  const auto* artifact = std::get_if<std::unique_ptr<T>>(&entry.artifact);
+  return artifact != nullptr ? artifact->get() : nullptr;
 }
 
 bool UploadCache::MakeRoom(uint64_t bytes) {
@@ -95,81 +84,58 @@ void UploadCache::ConsumeDeclaredUse(const std::string& key) {
   if (demand != demand_.end() && demand->second > 0) --demand->second;
 }
 
-UploadCache::Entry* UploadCache::PrepareSlot(const std::string& key,
-                                             uint64_t bytes) {
+template <typename T>
+util::Result<const T*> UploadCache::Insert(const std::string& key,
+                                           T* artifact, uint64_t bytes) {
   // The inserting query consumes one declared use whether or not the
   // artifact ends up cached.
   ConsumeDeclaredUse(key);
+  if (bytes > budget_bytes_) {
+    ++stats_.insert_failures;
+    return util::Status::OutOfMemory(
+        "artifact '" + key + "' (" + std::to_string(bytes) +
+        " bytes) exceeds the device artifact-cache budget (" +
+        std::to_string(budget_bytes_) + " bytes)");
+  }
   auto existing = entries_.find(key);
   if (existing != entries_.end()) {
     if (existing->second.in_use > 0) {
       // A resident, pinned duplicate means the caller raced its own
       // Acquire; refuse rather than clobber a handed-out pointer.
       ++stats_.insert_failures;
-      return nullptr;
+      return static_cast<const T*>(nullptr);
     }
     bytes_cached_ -= existing->second.bytes;
     entries_.erase(existing);
   }
   if (!MakeRoom(bytes)) {
     ++stats_.insert_failures;
-    return nullptr;
+    return static_cast<const T*>(nullptr);
   }
-  Entry entry;
+  Entry& entry = entries_[key];
+  entry.artifact = std::make_unique<T>(std::move(*artifact));
   entry.bytes = bytes;
   entry.in_use = 1;
   entry.last_use = ++use_clock_;
   entry.future_uses = DemandOf(key);
   bytes_cached_ += bytes;
-  auto [it, inserted] = entries_.insert_or_assign(key, std::move(entry));
-  (void)inserted;
-  return &it->second;
-}
-
-util::Result<const gjoin::gpujoin::DeviceRelation*> UploadCache::InsertUpload(
-    const std::string& key, gjoin::gpujoin::DeviceRelation* relation,
-    uint64_t bytes) {
-  if (bytes > budget_bytes_) {
-    ConsumeDeclaredUse(key);
-    ++stats_.insert_failures;
-    return util::Status::OutOfMemory(
-        "artifact '" + key + "' (" + std::to_string(bytes) +
-        " bytes) exceeds the device artifact-cache budget (" +
-        std::to_string(budget_bytes_) + " bytes)");
-  }
-  Entry* slot = PrepareSlot(key, bytes);
-  if (slot == nullptr) {
-    return static_cast<const gjoin::gpujoin::DeviceRelation*>(nullptr);
-  }
-  slot->upload = std::make_unique<gjoin::gpujoin::DeviceRelation>(
-      std::move(*relation));
-  return static_cast<const gjoin::gpujoin::DeviceRelation*>(
-      slot->upload.get());
-}
-
-util::Result<const gjoin::gpujoin::PreparedBuild*> UploadCache::InsertBuild(
-    const std::string& key, gjoin::gpujoin::PreparedBuild* build,
-    uint64_t bytes) {
-  if (bytes > budget_bytes_) {
-    ConsumeDeclaredUse(key);
-    ++stats_.insert_failures;
-    return util::Status::OutOfMemory(
-        "artifact '" + key + "' (" + std::to_string(bytes) +
-        " bytes) exceeds the device artifact-cache budget (" +
-        std::to_string(budget_bytes_) + " bytes)");
-  }
-  Entry* slot = PrepareSlot(key, bytes);
-  if (slot == nullptr) {
-    return static_cast<const gjoin::gpujoin::PreparedBuild*>(nullptr);
-  }
-  slot->build =
-      std::make_unique<gjoin::gpujoin::PreparedBuild>(std::move(*build));
-  return static_cast<const gjoin::gpujoin::PreparedBuild*>(slot->build.get());
+  return std::get<std::unique_ptr<T>>(entry.artifact).get();
 }
 
 void UploadCache::Release(const std::string& key) {
   auto it = entries_.find(key);
   if (it != entries_.end() && it->second.in_use > 0) --it->second.in_use;
 }
+
+template const gjoin::gpujoin::DeviceRelation* UploadCache::Acquire(
+    const std::string&);
+template const gjoin::gpujoin::PreparedBuild* UploadCache::Acquire(
+    const std::string&);
+template util::Result<const gjoin::gpujoin::DeviceRelation*>
+UploadCache::Insert(const std::string&, gjoin::gpujoin::DeviceRelation*,
+                    uint64_t);
+template util::Result<const gjoin::gpujoin::PreparedBuild*>
+UploadCache::Insert(const std::string&, gjoin::gpujoin::PreparedBuild*,
+                    uint64_t);
 
 }  // namespace gjoin::exec

@@ -9,9 +9,11 @@
 // cardinality) plus, for prepared builds, the partitioning
 // configuration:
 //
-//   raw uploads     — DeviceRelation copies of a host relation,
-//   prepared builds — PreparePartitionedBuild results (upload +
-//                     multi-pass radix partitioning).
+//   raw uploads     — gpujoin::DeviceRelation copies of a host relation,
+//   prepared builds — gpujoin::PreparedBuild, a build side uploaded and
+//                     radix-partitioned by PreparePartitionedBuild.
+//
+// One typed Acquire<T> / Insert<T> pair serves both kinds.
 //
 // Entries are accounted against a device-memory budget. A planning pass
 // declares how many queries will use each key (AddDemand); execution
@@ -30,6 +32,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <variant>
 
 #include "src/data/relation.h"
 #include "src/gpujoin/partitioned_join.h"
@@ -65,17 +68,17 @@ class UploadCache {
   /// that will Acquire it).
   void AddDemand(const std::string& key);
 
-  /// Looks up a raw upload: on hit, marks the entry in use, consumes one
-  /// declared use and returns it; nullptr on miss (counts a miss).
-  const gpujoin::DeviceRelation* AcquireUpload(const std::string& key);
-
-  /// Same for a prepared build.
-  const gpujoin::PreparedBuild* AcquireBuild(const std::string& key);
+  /// Looks up an artifact of type T (gpujoin::DeviceRelation for a raw
+  /// upload, gpujoin::PreparedBuild for a prepared build): on hit, marks
+  /// the entry in use, consumes one declared use and returns it; nullptr
+  /// on miss (counts a miss).
+  template <typename T>
+  const T* Acquire(const std::string& key);
 
   /// Inserts the artifact a miss forced the caller to create; consumes
   /// one declared use. `bytes` is its device-memory footprint. On
-  /// success the artifact is moved out of `*relation` / `*build` and the
-  /// cached copy (in use) returned. Two refusal shapes, both leaving the
+  /// success the artifact is moved out of `*artifact` and the cached
+  /// copy (in use) returned. Two refusal shapes, both leaving the
   /// caller's object untouched as a private, uncached copy:
   ///
   ///   - a typed kOutOfMemory status when the artifact is larger than
@@ -86,14 +89,9 @@ class UploadCache {
   ///     occupied by pinned entries, or a raced pinned duplicate).
   ///
   /// Both refusals count stats().insert_failures.
-  [[nodiscard]]
-  util::Result<const gjoin::gpujoin::DeviceRelation*> InsertUpload(
-      const std::string& key, gjoin::gpujoin::DeviceRelation* relation,
-      uint64_t bytes);
-  [[nodiscard]]
-  util::Result<const gjoin::gpujoin::PreparedBuild*> InsertBuild(
-      const std::string& key, gjoin::gpujoin::PreparedBuild* build,
-      uint64_t bytes);
+  template <typename T>
+  [[nodiscard]] util::Result<const T*> Insert(const std::string& key,
+                                              T* artifact, uint64_t bytes);
 
   /// Ends the current query's use of `key` (entry becomes evictable).
   void Release(const std::string& key);
@@ -117,22 +115,19 @@ class UploadCache {
 
  private:
   struct Entry {
-    std::unique_ptr<gjoin::gpujoin::DeviceRelation> upload;
-    std::unique_ptr<gjoin::gpujoin::PreparedBuild> build;
+    std::variant<std::unique_ptr<gjoin::gpujoin::DeviceRelation>,
+                 std::unique_ptr<gjoin::gpujoin::PreparedBuild>>
+        artifact;
     uint64_t bytes = 0;
     int future_uses = 0;  ///< Declared uses not yet consumed.
     int in_use = 0;       ///< Acquire/Insert minus Release balance.
     uint64_t last_use = 0;
   };
 
-  Entry* Lookup(const std::string& key);
   /// Consumes one declared use of `key` if any remain.
   void ConsumeDeclaredUse(const std::string& key);
   /// Evicts idle entries until `bytes` fit the budget; false if impossible.
   bool MakeRoom(uint64_t bytes);
-  /// Consumes a declared use, evicts for room, and installs an empty
-  /// pinned entry of `bytes`; nullptr when the budget cannot fit it.
-  Entry* PrepareSlot(const std::string& key, uint64_t bytes);
 
   uint64_t budget_bytes_;
   uint64_t bytes_cached_ = 0;

@@ -1,8 +1,8 @@
 #include "src/gpujoin/radix_partition.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <atomic>
+#include <cstdio>
 
 #include "src/obs/metrics.h"
 #include "src/util/bits.h"
@@ -630,29 +630,17 @@ uint32_t AutoBucketCapacity(uint64_t tuples, uint32_t partitions) {
 void ChunkedDeviceInput::Add(std::vector<uint32_t> keys,
                              std::vector<uint32_t> payloads) {
   if (keys.empty()) return;
-  const uint32_t* k = keys.data();
-  const uint32_t* p = payloads.data();
-  const size_t n = keys.size();
-  // Moving a vector keeps its buffer, so the view survives the moves.
-  Chunk chunk;
-  chunk.keys = std::move(keys);
-  chunk.payloads = std::move(payloads);
-  AddChunk(std::move(chunk), k, p, n);
+  AddBorrowed(keys, payloads);
+  // Moving a vector keeps its buffer, so the recorded view survives.
+  chunks_.back().keys = std::move(keys);
+  chunks_.back().payloads = std::move(payloads);
 }
 
 void ChunkedDeviceInput::AddBorrowed(const std::vector<uint32_t>& keys,
                                      const std::vector<uint32_t>& payloads) {
   if (keys.empty()) return;
-  AddChunk(Chunk(), keys.data(), payloads.data(), keys.size());
-}
-
-void ChunkedDeviceInput::AddChunk(Chunk chunk, const uint32_t* keys,
-                                  const uint32_t* payloads, size_t n) {
-  chunk.k = keys;
-  chunk.p = payloads;
-  chunk.begin = total_;
-  total_ += n;
-  chunks_.push_back(std::move(chunk));
+  chunks_.push_back({{}, {}, keys.data(), payloads.data(), total_});
+  total_ += keys.size();
 }
 
 uint32_t ChunkedDeviceInput::MaxKey() const {
@@ -728,9 +716,10 @@ void ChunkedDeviceInput::BlockDone(size_t begin, size_t end) {
 
 namespace {
 
-/// Pass-1 input adapters: the launch body walks its tuple range through
-/// a source-provided cursor, so the contiguous DeviceRelation path and
-/// the chunk-consuming path share one kernel. Every charge is driven by
+/// Pass-1 input: the launch body walks its tuple range through a
+/// source-provided cursor, so the contiguous DeviceRelation path (this
+/// adapter) and the chunk-consuming path (a ChunkedDeviceInput itself)
+/// share one kernel. Every charge is driven by
 /// tuple values and counts alone, never by input layout, which is what
 /// keeps the two paths' stats bit-identical.
 struct FlatPassSource {
@@ -751,17 +740,9 @@ struct FlatPassSource {
   void BlockDone(size_t /*begin*/, size_t /*end*/) {}
 };
 
-struct ChunkedPassSource {
-  ChunkedDeviceInput* input;
-  using Cursor = ChunkedDeviceInput::Cursor;
-  Cursor At(size_t i) const { return input->At(i); }
-  void BeginConsume(size_t block_tuples) { input->BeginConsume(block_tuples); }
-  void BlockDone(size_t begin, size_t end) { input->BlockDone(begin, end); }
-};
-
 template <typename Source>
 util::Result<PartitionedRelation> FirstPassOverSource(
-    sim::Device* device, Source src, size_t input_size, int shift, int bits,
+    sim::Device* device, Source&& src, size_t input_size, int shift, int bits,
     const RadixPartitionConfig& config, PartitionedRelation* append_to) {
   if (bits <= 0 || bits > 12) {
     return util::Status::Invalid("first pass bits out of range: " +
@@ -957,19 +938,81 @@ util::Result<PartitionedRelation> RadixPartitionNextPass(
 
 namespace {
 
-/// Shared driver: `host_input` + `segments` selects the segmented path,
-/// `chunked` the chunk-consuming path; otherwise `device_input` is used
-/// (freed after pass 1 when `consume`).
-util::Result<PartitionedRelation> RadixPartitionImpl(
-    sim::Device* device, const DeviceRelation* device_input,
-    DeviceRelation* consume, const data::Relation* host_input, int segments,
-    ChunkedDeviceInput* chunked, const RadixPartitionConfig& config) {
+util::Status ValidatePassBits(const RadixPartitionConfig& config) {
   if (config.pass_bits.empty()) {
     return util::Status::Invalid("RadixPartition: no passes configured");
   }
-  const uint64_t n = host_input != nullptr ? host_input->size()
-                     : chunked != nullptr ? chunked->size()
-                                          : device_input->size;
+  for (size_t i = 0; i < config.pass_bits.size(); ++i) {
+    if (config.pass_bits[i] < 1 || config.pass_bits[i] > 12) {
+      return util::Status::Invalid(
+          "RadixPartition: pass_bits[" + std::to_string(i) + "] = " +
+          std::to_string(config.pass_bits[i]) + " is outside [1, 12]");
+    }
+  }
+  const std::string total = std::to_string(config.total_bits());
+  if (config.total_bits() >= 32) {
+    return util::Status::Invalid("RadixPartition: pass_bits total " + total +
+                                 " bits; 2^total partitions needs <= 31");
+  }
+  if (config.base_shift < 0 || config.base_shift + config.total_bits() > 32) {
+    return util::Status::Invalid(
+        "RadixPartition: base_shift " + std::to_string(config.base_shift) +
+        " plus " + total + " pass bits leaves the 32-bit key");
+  }
+  return util::Status::OK();
+}
+
+/// Segments of a host input: `requested`, or when 0 the fewest (at most
+/// 16) whose one raw segment fits the memory the device has left once
+/// the partitioned form (chains plus pool slack, ~2x the data) is set
+/// aside.
+int HostSegments(const sim::Device& device, const data::Relation& rel,
+                 int requested) {
+  if (requested > 0) return requested;
+  const uint64_t budget = device.memory().available();
+  const uint64_t need = rel.bytes() * 2;
+  const uint64_t seg_budget = budget > need ? budget - need : budget / 8;
+  return std::max(
+      1, static_cast<int>(std::min<uint64_t>(
+             16, CeilDiv(rel.bytes(), std::max<uint64_t>(seg_budget, 1)))));
+}
+
+}  // namespace
+
+const DeviceRelation* PartitionInput::device_relation() const {
+  if (const auto* owned = std::get_if<DeviceRelation>(&source_)) return owned;
+  const auto* borrowed = std::get_if<const DeviceRelation*>(&source_);
+  return borrowed != nullptr ? *borrowed : nullptr;
+}
+
+size_t PartitionInput::size() const {
+  if (const DeviceRelation* rel = device_relation()) return rel->size;
+  if (const auto* chunked = std::get_if<ChunkedDeviceInput>(&source_)) {
+    return chunked->size();
+  }
+  return std::get<Host>(source_).relation->size();
+}
+
+uint32_t PartitionInput::MaxKey() const {
+  if (const auto* chunked = std::get_if<ChunkedDeviceInput>(&source_)) {
+    return chunked->MaxKey();
+  }
+  const DeviceRelation* rel = device_relation();
+  const uint32_t* keys = rel != nullptr
+                             ? rel->keys.data()
+                             : std::get<Host>(source_).relation->keys.data();
+  return size() == 0 ? 0 : *std::max_element(keys, keys + size());
+}
+
+util::Result<PartitionedRelation> RadixPartition(
+    sim::Device* device, PartitionInput input,
+    const RadixPartitionConfig& config) {
+  GJOIN_RETURN_NOT_OK(ValidatePassBits(config));
+  const uint64_t n = input.size();
+  auto* host = std::get_if<PartitionInput::Host>(&input.source_);
+  const int segments =
+      host != nullptr ? HostSegments(*device, *host->relation, host->segments)
+                      : 1;
   RadixPartitionConfig cfg = config;
   const int num_blocks =
       cfg.num_blocks != 0
@@ -994,11 +1037,10 @@ util::Result<PartitionedRelation> RadixPartitionImpl(
   }
 
   // One pool for all passes: data buckets + block-private partials of
-  // pass 1 (each segment's producers publish their own partials, bounded
-  // by blocks x fanout per segment) + one partial per final child +
-  // slack for in-flight recycling.
-  const uint64_t seg_count =
-      host_input != nullptr ? std::max<uint64_t>(1, segments) : 1;
+  // pass 1 (each host segment's producers publish their own partials,
+  // bounded by blocks x fanout per segment) + one partial per final
+  // child + slack for in-flight recycling.
+  const uint64_t seg_count = static_cast<uint64_t>(segments);
   const uint64_t per_seg = CeilDiv(n, seg_count);
   const uint64_t producer_slack =
       std::min<uint64_t>(static_cast<uint64_t>(num_blocks) * fanout1,
@@ -1020,8 +1062,9 @@ util::Result<PartitionedRelation> RadixPartitionImpl(
   rel.radix_bits = cfg.pass_bits[0];
   rel.base_shift = cfg.base_shift;
 
-  if (host_input != nullptr) {
-    const size_t seg_tuples = CeilDiv(n, std::max(segments, 1));
+  // Pass 1, publishing into `rel`'s chains.
+  if (host != nullptr) {
+    const size_t seg_tuples = CeilDiv(n, seg_count);
     for (size_t begin = 0; begin < n; begin += seg_tuples) {
       const size_t end = std::min<size_t>(n, begin + seg_tuples);
       // Upload the segment straight from the host columns — no
@@ -1029,26 +1072,26 @@ util::Result<PartitionedRelation> RadixPartitionImpl(
       GJOIN_ASSIGN_OR_RETURN(
           DeviceRelation seg_dev,
           DeviceRelation::Upload(
-              device, data::RelationView::Slice(*host_input, begin, end)));
+              device, data::RelationView::Slice(*host->relation, begin, end)));
       GJOIN_ASSIGN_OR_RETURN(
           rel, RadixPartitionFirstPass(device, seg_dev, cfg.base_shift,
                                        cfg.pass_bits[0], cfg, &rel));
       // seg_dev freed at scope exit: only one segment is ever resident.
     }
-  } else if (chunked != nullptr) {
+  } else if (auto* chunked = std::get_if<ChunkedDeviceInput>(&input.source_)) {
     // Same single launch as the contiguous path, walking the chunks in
     // place; each chunk is freed once its last reader block finishes.
     GJOIN_ASSIGN_OR_RETURN(
-        rel, FirstPassOverSource(device, ChunkedPassSource{chunked},
-                                 static_cast<size_t>(n), cfg.base_shift,
-                                 cfg.pass_bits[0], cfg, &rel));
+        rel, FirstPassOverSource(device, *chunked, static_cast<size_t>(n),
+                                 cfg.base_shift, cfg.pass_bits[0], cfg, &rel));
   } else {
     GJOIN_ASSIGN_OR_RETURN(
-        rel, RadixPartitionFirstPass(device, *device_input, cfg.base_shift,
-                                     cfg.pass_bits[0], cfg, &rel));
-    if (consume != nullptr) {
-      consume->keys.Reset();
-      consume->payloads.Reset();
+        rel, RadixPartitionFirstPass(device, *input.device_relation(),
+                                     cfg.base_shift, cfg.pass_bits[0], cfg,
+                                     &rel));
+    if (auto* owned = std::get_if<DeviceRelation>(&input.source_)) {
+      owned->keys.Reset();
+      owned->payloads.Reset();
     }
   }
 
@@ -1060,36 +1103,6 @@ util::Result<PartitionedRelation> RadixPartitionImpl(
     shift += cfg.pass_bits[pass];
   }
   return rel;
-}
-
-}  // namespace
-
-util::Result<PartitionedRelation> RadixPartition(
-    sim::Device* device, const DeviceRelation& input,
-    const RadixPartitionConfig& config) {
-  return RadixPartitionImpl(device, &input, nullptr, nullptr, 0, nullptr,
-                            config);
-}
-
-util::Result<PartitionedRelation> RadixPartitionConsuming(
-    sim::Device* device, DeviceRelation input,
-    const RadixPartitionConfig& config) {
-  return RadixPartitionImpl(device, &input, &input, nullptr, 0, nullptr,
-                            config);
-}
-
-util::Result<PartitionedRelation> RadixPartitionChunkedConsuming(
-    sim::Device* device, ChunkedDeviceInput input,
-    const RadixPartitionConfig& config) {
-  return RadixPartitionImpl(device, nullptr, nullptr, nullptr, 0, &input,
-                            config);
-}
-
-util::Result<PartitionedRelation> RadixPartitionSegmented(
-    sim::Device* device, const data::Relation& input,
-    const RadixPartitionConfig& config, int segments) {
-  return RadixPartitionImpl(device, nullptr, nullptr, &input, segments,
-                            nullptr, config);
 }
 
 }  // namespace gjoin::gpujoin

@@ -1,6 +1,13 @@
 // Multi-pass GPU radix partitioning with bucket chains (Section III-A).
 //
-// Pass 1 scans the contiguous input relation; each thread block stages
+// RadixPartition partitions every input placement. Its PartitionInput
+// says where the input lives and who frees it: a device-resident
+// relation, borrowed or consumed; host-staged chunks
+// (ChunkedDeviceInput); or a host relation uploaded segment by
+// segment. RadixPartitionFirstPass and RadixPartitionNextPass expose
+// single passes for callers that time each pass themselves.
+//
+// Pass 1 scans the input; each thread block stages
 // tuples per partition in shared memory (the "shuffle space"), flushes
 // staged runs into its current bucket with coalesced bursts, draws fresh
 // buckets from the pool with a device atomic when one fills up, and
@@ -29,6 +36,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <variant>
 #include <vector>
 
 #include "src/gpujoin/bucket_chains.h"
@@ -200,8 +208,6 @@ class ChunkedDeviceInput {
     const uint32_t* p = nullptr;
     size_t begin = 0;  ///< Global index of the chunk's first tuple.
   };
-  void AddChunk(Chunk chunk, const uint32_t* keys, const uint32_t* payloads,
-                size_t n);
   size_t ChunkEnd(size_t c) const {
     return c + 1 < chunks_.size() ? chunks_[c + 1].begin : total_;
   }
@@ -212,42 +218,88 @@ class ChunkedDeviceInput {
   size_t total_ = 0;
 };
 
+/// \brief The input of one RadixPartition run: which tuples it reads,
+/// where they live, and who frees them. A move-only value of one of four
+/// kinds:
+///
+///   - a borrowed DeviceRelation (the implicit conversion), read in
+///     place and never freed; it must outlive the RadixPartition call;
+///   - an owned DeviceRelation (Consume), whose columns are freed as
+///     soon as the first pass has read them;
+///   - a ChunkedDeviceInput (Chunked), walked in place by the first pass
+///     and released chunk by chunk (the co-processing working set);
+///   - a host data::Relation (FromHost), uploaded and consumed in
+///     `segments` pieces, so only one raw segment is resident next to
+///     the partitioned form. Transfer timing stays the caller's concern,
+///     as with DeviceRelation::Upload.
+///
+/// Every kind runs the same kernels with the same launch geometry, so
+/// the partitioned form and the modeled seconds depend on the tuples
+/// alone (pinned by gpujoin_stat_invariance_test).
+class PartitionInput {
+ public:
+  /// Borrows `relation` (implicit, as a span borrows its range).
+  PartitionInput(const DeviceRelation& relation) : source_(&relation) {}
+
+  /// Takes ownership of `relation`.
+  static PartitionInput Consume(DeviceRelation relation) {
+    return PartitionInput(Source(std::move(relation)));
+  }
+
+  /// Takes ownership of the staged chunks.
+  static PartitionInput Chunked(ChunkedDeviceInput chunks) {
+    return PartitionInput(Source(std::move(chunks)));
+  }
+
+  /// Borrows host-resident `relation`, to be uploaded in `segments`
+  /// pieces. 0 picks the fewest (at most 16) whose one raw segment fits
+  /// the device memory left once the partitioned form (~2x the data) is
+  /// reserved, as measured when RadixPartition starts.
+  static PartitionInput FromHost(const data::Relation& relation,
+                                 int segments = 0) {
+    return PartitionInput(Source(Host{&relation, segments}));
+  }
+
+  /// Tuples the input holds.
+  size_t size() const;
+
+  /// Largest key (0 when empty); call before the input is consumed.
+  uint32_t MaxKey() const;
+
+ private:
+  struct Host {
+    const data::Relation* relation;
+    int segments;
+  };
+  using Source = std::variant<const DeviceRelation*, DeviceRelation,
+                              ChunkedDeviceInput, Host>;
+  explicit PartitionInput(Source source) : source_(std::move(source)) {}
+  /// The borrowed or owned device relation; nullptr for other kinds.
+  const DeviceRelation* device_relation() const;
+
+  // A friend declaration cannot carry attributes; the declaration at
+  // namespace scope below is the [[nodiscard]] one.
+  // lint:allow nodiscard
+  friend util::Result<PartitionedRelation> RadixPartition(
+      sim::Device* device, PartitionInput input,
+      const RadixPartitionConfig& config);
+
+  Source source_;
+};
+
 /// Runs all configured passes over `input` and returns the final
 /// partitioned form. Partitioning is on `total_bits()` of the key above
 /// base_shift, pass i consuming its bits above the bits of passes < i.
 /// All passes share one bucket pool; later passes recycle consumed
 /// buckets, so the footprint stays near the data size.
+///
+/// Returns kInvalid, naming the offending entry, unless every pass takes
+/// 1 to 12 bits, the passes total at most 31 bits and base_shift plus
+/// that total stays within the 32-bit key.
 [[nodiscard]]
 util::Result<PartitionedRelation> RadixPartition(
-    sim::Device* device, const DeviceRelation& input,
+    sim::Device* device, PartitionInput input,
     const RadixPartitionConfig& config);
-
-/// Like RadixPartition but takes ownership of the input and frees its
-/// raw columns as soon as the first pass has consumed them.
-[[nodiscard]]
-util::Result<PartitionedRelation> RadixPartitionConsuming(
-    sim::Device* device, DeviceRelation input,
-    const RadixPartitionConfig& config);
-
-/// Like RadixPartitionConsuming over the concatenation of the input's
-/// chunks, with chunks released as the first pass consumes them (see
-/// ChunkedDeviceInput). Output and charged stats are bit-identical to
-/// the contiguous run.
-[[nodiscard]]
-util::Result<PartitionedRelation> RadixPartitionChunkedConsuming(
-    sim::Device* device, ChunkedDeviceInput input,
-    const RadixPartitionConfig& config);
-
-/// Partitions a host-resident relation by uploading and consuming it in
-/// `segments` pieces (each segment's device columns are freed after the
-/// first pass reads them). Peak device footprint is one segment plus the
-/// partitioned form — how implementations fit large probe sides next to
-/// an already-partitioned build side. Transfer timing is the caller's
-/// concern (as with DeviceRelation::Upload).
-[[nodiscard]]
-util::Result<PartitionedRelation> RadixPartitionSegmented(
-    sim::Device* device, const data::Relation& input,
-    const RadixPartitionConfig& config, int segments);
 
 /// Single pass over a contiguous input (pass 1). `shift`/`bits` select
 /// the radix field. When `append_to` is non-null, tuples are published

@@ -74,12 +74,14 @@ util::Result<CoProcessPlan> PlanFromPartitions(sim::Device* device,
                              ? OutputMode::kMaterialize
                              : OutputMode::kAggregate;
   if (join_cfg.join.key_bits == 0) {
+    // Every working set joins on the whole relation's key bits.
     // Partitioning permutes the keys, so the largest over the partitions
     // is the largest over the relation.
+    uint32_t max_key = 0;
     for (const data::Relation& part : build_parts.parts) {
-      join_cfg.join.key_bits =
-          std::max(join_cfg.join.key_bits, gjoin::gpujoin::KeyBits(part.keys));
+      for (uint32_t k : part.keys) max_key = std::max(max_key, k);
     }
+    join_cfg.join.key_bits = gjoin::gpujoin::KeyBits(max_key);
   }
 
   CoProcessPlan plan;
@@ -107,8 +109,11 @@ util::Result<CoProcessPlan> PlanFromPartitions(sim::Device* device,
 
     GJOIN_ASSIGN_OR_RETURN(
         JoinStats ws_join,
-        gjoin::gpujoin::PartitionedJoinChunkedConsuming(
-            &scratch, std::move(r_in), std::move(s_in), join_cfg));
+        gjoin::gpujoin::PartitionedJoin(
+            &scratch,
+            gjoin::gpujoin::PartitionInput::Chunked(std::move(r_in)),
+            gjoin::gpujoin::PartitionInput::Chunked(std::move(s_in)),
+            join_cfg));
 
     // Oversized singleton sets: the R side exceeds the budget, so S is
     // re-streamed once per budget-sized R slice (GPU sub-partitioning,

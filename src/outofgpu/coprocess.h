@@ -108,8 +108,9 @@ struct CoProcessPlan {
 /// materializing the relations); anything else — a different radix_bits
 /// or a parts vector other than 1 << config.cpu.radix_bits long — is
 /// Invalid. Each working set's partition columns are staged chunk-wise
-/// into the GPU join (gpujoin::ChunkedDeviceInput), whose first pass
-/// reads them in place.
+/// into a gpujoin::ChunkedDeviceInput and joined by
+/// gpujoin::PartitionedJoin as PartitionInput::Chunked on both sides;
+/// the first partitioning pass reads them in place.
 ///
 /// This borrowed form stages views of the caller's partitions, never
 /// copying or freeing them, so one partitioned form serves every plan

@@ -24,7 +24,6 @@ util::Result<StreamingProbeRun> StreamingProbeExecute(
   const hw::PcieModel pcie(device->spec().pcie);
 
   PartitionedJoinConfig cfg = config.join;
-  if (cfg.join.key_bits == 0) cfg.join.key_bits = prepared.key_bits;
   cfg.join.output = config.materialize_to_host ? OutputMode::kMaterialize
                                                : OutputMode::kAggregate;
 
@@ -59,7 +58,8 @@ util::Result<StreamingProbeRun> StreamingProbeExecute(
         data::RelationView::Slice(probe, begin, end);
 
     // Functional execution of the chunk: upload (straight from the host
-    // columns — no intermediate copy), partition, join.
+    // columns — no intermediate copy), partition, join. The chunk stays
+    // borrowed, so its columns are resident until the join is done.
     GJOIN_ASSIGN_OR_RETURN(gpujoin::DeviceRelation s_dev,
                            gpujoin::DeviceRelation::Upload(device, chunk));
     GJOIN_ASSIGN_OR_RETURN(
@@ -70,7 +70,7 @@ util::Result<StreamingProbeRun> StreamingProbeExecute(
     chunk_cfg.out_capacity = chunk.size + 1;
     GJOIN_ASSIGN_OR_RETURN(
         JoinStats chunk_join,
-        gjoin::gpujoin::JoinPartedPair(device, r_parted, s_parted, chunk_cfg,
+        gjoin::gpujoin::JoinPartedPair(device, prepared, s_parted, chunk_cfg,
                                        chunk.size));
     stats.matches += chunk_join.matches;
     stats.payload_sum += chunk_join.payload_sum;

@@ -53,10 +53,13 @@ struct StreamingProbeRun {
 
 /// Functionally executes the streaming-probe join against `prepared`,
 /// which must be PreparePartitionedBuild(device, build, config.join)
-/// unless `build` is empty (then it is not read). The resident
-/// partitioned build may be shared with other queries: its upload and
-/// partitioning still enter this run's solo DAG and stats, so the result
-/// is identical to a standalone run (partitioning is deterministic).
+/// unless `build` is empty (then it is not read). Each probe chunk is
+/// uploaded, partitioned as a borrowed PartitionInput (its columns stay
+/// resident until its join is done) and joined by JoinPartedPair. The
+/// resident partitioned build may be shared with other queries: its
+/// upload and partitioning still enter this run's solo DAG and stats, so
+/// the result is identical to a standalone run (partitioning is
+/// deterministic).
 [[nodiscard]]
 util::Result<StreamingProbeRun> StreamingProbeExecute(
     sim::Device* device, const data::Relation& build,

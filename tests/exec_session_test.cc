@@ -74,6 +74,25 @@ class ExecSessionTest : public ::testing::Test {
   data::Relation s_;
 };
 
+// A join whose partitioning layout cannot be built fails as kInvalid
+// instead of aborting on an exhausted bucket pool or asking for an
+// absurd allocation.
+TEST(ApiJoinTest, InGpuRejectsOutOfRangePassBits) {
+  const data::Relation r = data::MakeUniqueUniform(65536, 31);
+  const data::Relation s = data::MakeUniformProbe(65536, 65536, 32);
+  for (const std::vector<int>& pass_bits :
+       {std::vector<int>{8, 8, 8, 8}, std::vector<int>{-1}}) {
+    sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
+    api::JoinConfig cfg;
+    cfg.strategy = api::Strategy::kInGpu;
+    cfg.pass_bits = pass_bits;
+    auto out = api::Join(&device, r, s, cfg);
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.status().code(), util::StatusCode::kInvalid)
+        << out.status();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Invariant 1: 1-query sessions reproduce the pre-session goldens.
 // ---------------------------------------------------------------------------
@@ -389,9 +408,9 @@ TEST_F(UploadCacheTest, HitConsumesDemandAndRefcounts) {
   cache.AddDemand(key);
   cache.AddDemand(key);
 
-  EXPECT_EQ(cache.AcquireUpload(key), nullptr);  // miss
+  EXPECT_EQ(cache.Acquire<gpujoin::DeviceRelation>(key), nullptr);  // miss
   auto [uploaded, bytes] = MakeUpload(rel);
-  const auto inserted = cache.InsertUpload(key, &uploaded, bytes);
+  const auto inserted = cache.Insert(key, &uploaded, bytes);
   ASSERT_TRUE(inserted.ok()) << inserted.status().ToString();
   const auto* cached = *inserted;
   ASSERT_NE(cached, nullptr);
@@ -399,7 +418,7 @@ TEST_F(UploadCacheTest, HitConsumesDemandAndRefcounts) {
   EXPECT_EQ(cache.DemandOf(key), 1);
   cache.Release(key);
 
-  const auto* hit = cache.AcquireUpload(key);
+  const auto* hit = cache.Acquire<gpujoin::DeviceRelation>(key);
   EXPECT_EQ(hit, cached);
   EXPECT_EQ(cache.DemandOf(key), 0);
   cache.Release(key);
@@ -418,9 +437,9 @@ TEST_F(UploadCacheTest, LruEvictionUnderBudget) {
 
   // Budget holds exactly one of them.
   UploadCache cache(bytes_a);
-  ASSERT_NE(*cache.InsertUpload(key_a, &up_a, bytes_a), nullptr);
+  ASSERT_NE(*cache.Insert(key_a, &up_a, bytes_a), nullptr);
   cache.Release(key_a);
-  ASSERT_NE(*cache.InsertUpload(key_b, &up_b, bytes_b), nullptr);
+  ASSERT_NE(*cache.Insert(key_b, &up_b, bytes_b), nullptr);
   cache.Release(key_b);
 
   EXPECT_FALSE(cache.Contains(key_a));  // evicted (LRU, undemanded)
@@ -438,11 +457,11 @@ TEST_F(UploadCacheTest, PinnedEntriesAreNeverEvicted) {
   const std::string key_b = UploadCache::UploadKey(rel_b);
 
   UploadCache cache(bytes_a);
-  ASSERT_NE(*cache.InsertUpload(key_a, &up_a, bytes_a), nullptr);
+  ASSERT_NE(*cache.Insert(key_a, &up_a, bytes_a), nullptr);
   // key_a still in use: key_b cannot fit and must NOT displace it. The
   // budget could hold key_b in principle, so this is the transient
   // refusal shape — an OK result carrying nullptr, not an error.
-  const auto refused = cache.InsertUpload(key_b, &up_b, bytes_b);
+  const auto refused = cache.Insert(key_b, &up_b, bytes_b);
   ASSERT_TRUE(refused.ok()) << refused.status().ToString();
   EXPECT_EQ(*refused, nullptr);
   EXPECT_TRUE(cache.Contains(key_a));
@@ -467,11 +486,11 @@ TEST_F(UploadCacheTest, EvictionPrefersUndemandedEntries) {
   // not — so inserting key_c must evict key_b despite LRU order.
   cache.AddDemand(key_a);
   cache.AddDemand(key_a);
-  ASSERT_NE(*cache.InsertUpload(key_a, &up_a, bytes_a), nullptr);
+  ASSERT_NE(*cache.Insert(key_a, &up_a, bytes_a), nullptr);
   cache.Release(key_a);
-  ASSERT_NE(*cache.InsertUpload(key_b, &up_b, bytes_b), nullptr);
+  ASSERT_NE(*cache.Insert(key_b, &up_b, bytes_b), nullptr);
   cache.Release(key_b);
-  ASSERT_NE(*cache.InsertUpload(key_c, &up_c, bytes_c), nullptr);
+  ASSERT_NE(*cache.Insert(key_c, &up_c, bytes_c), nullptr);
   cache.Release(key_c);
 
   EXPECT_TRUE(cache.Contains(key_a));
@@ -489,7 +508,7 @@ TEST_F(UploadCacheTest, OversizeArtifactReturnsTypedOutOfMemory) {
   // budget mode feeds it to the degradation ladder).
   UploadCache cache(bytes - 1);
   cache.AddDemand(key);
-  const auto refused = cache.InsertUpload(key, &uploaded, bytes);
+  const auto refused = cache.Insert(key, &uploaded, bytes);
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), util::StatusCode::kOutOfMemory);
   EXPECT_NE(refused.status().ToString().find("exceeds"), std::string::npos);

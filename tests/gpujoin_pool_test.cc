@@ -126,7 +126,8 @@ TEST_F(PoolTest, ConsumingPartitionFreesInputColumns) {
   RadixPartitionConfig cfg;
   cfg.pass_bits = {4};
   auto parted =
-      std::move(RadixPartitionConsuming(&device_, std::move(rel_dev), cfg))
+      std::move(RadixPartition(&device_, PartitionInput::Consume(std::move(rel_dev)),
+                               cfg))
           .ValueOrDie();
   // Input columns (2 x 200KB) were freed; usage reflects chains only,
   // so it must be below input + chains simultaneously.
@@ -139,7 +140,7 @@ TEST_F(PoolTest, SegmentedPartitioningMatchesMonolithic) {
   const auto rel = data::MakeUniformProbe(80000, 5000, 5);
   RadixPartitionConfig cfg;
   cfg.pass_bits = {4, 3};
-  auto seg = std::move(RadixPartitionSegmented(&device_, rel, cfg, 5))
+  auto seg = std::move(RadixPartition(&device_, PartitionInput::FromHost(rel, 5), cfg))
                  .ValueOrDie();
   auto rel_dev =
       std::move(DeviceRelation::Upload(&device_, rel)).ValueOrDie();

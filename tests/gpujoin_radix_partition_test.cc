@@ -153,8 +153,8 @@ TEST_F(RadixPartitionTest, ChunkedConsumingMatchesMonolithic) {
     }
     EXPECT_EQ(input.size(), rel.size());
     EXPECT_EQ(input.MaxKey(), 9000u);
-    auto parted = RadixPartitionChunkedConsuming(&device_, std::move(input),
-                                                 cfg);
+    auto parted = RadixPartition(
+        &device_, PartitionInput::Chunked(std::move(input)), cfg);
     ASSERT_TRUE(parted.ok()) << parted.status();
     EXPECT_EQ(parted->tuples, whole->tuples);
     EXPECT_EQ(parted->radix_bits, whole->radix_bits);
@@ -179,8 +179,8 @@ TEST_F(RadixPartitionTest, ChunkedConsumingEmptyInput) {
   ChunkedDeviceInput input;
   input.Add({}, {});  // empty chunks are dropped
   EXPECT_EQ(input.size(), 0u);
-  auto parted = RadixPartitionChunkedConsuming(&device_, std::move(input),
-                                               cfg);
+  auto parted = RadixPartition(
+      &device_, PartitionInput::Chunked(std::move(input)), cfg);
   ASSERT_TRUE(parted.ok()) << parted.status();
   EXPECT_EQ(parted->chains.TotalElements(), 0u);
 }
@@ -230,6 +230,71 @@ TEST_F(RadixPartitionTest, RejectsEmptyPassList) {
   RadixPartitionConfig cfg;
   cfg.pass_bits = {};
   EXPECT_FALSE(RadixPartition(&device_, Upload(rel), cfg).ok());
+}
+
+// Out-of-range pass_bits are rejected before any shift or allocation
+// depends on them, and the status names the offending entry.
+TEST_F(RadixPartitionTest, RejectsOutOfRangePassBits) {
+  const data::Relation rel = data::MakeUniqueUniform(1000, 9);
+  const DeviceRelation dev = Upload(rel);
+  struct Case {
+    std::vector<int> pass_bits;
+    int base_shift;
+    const char* names;
+  };
+  const Case cases[] = {
+      {{-1}, 0, "pass_bits[0] = -1"},
+      {{0}, 0, "pass_bits[0] = 0"},
+      {{8, 13}, 0, "pass_bits[1] = 13"},
+      {{8, 8, 8, 8}, 0, "pass_bits total 32"},
+      {{12, 12, 8}, 0, "pass_bits total 32"},
+      {{8, 7}, 20, "base_shift 20"},
+      {{4}, -1, "base_shift -1"},
+  };
+  const size_t used_before = device_.memory().used();
+  for (const Case& c : cases) {
+    RadixPartitionConfig cfg;
+    cfg.pass_bits = c.pass_bits;
+    cfg.base_shift = c.base_shift;
+    auto parted = RadixPartition(&device_, dev, cfg);
+    ASSERT_FALSE(parted.ok()) << c.names;
+    EXPECT_EQ(parted.status().code(), util::StatusCode::kInvalid) << c.names;
+    EXPECT_NE(parted.status().message().find(c.names), std::string::npos)
+        << parted.status();
+  }
+  EXPECT_EQ(device_.memory().used(), used_before);
+}
+
+TEST_F(RadixPartitionTest, AcceptsPassesEndingAtTheKeysTopBit) {
+  const data::Relation rel = data::MakeUniqueUniform(5000, 9);
+  RadixPartitionConfig cfg;
+  for (const auto& [pass_bits, base_shift] :
+       {std::pair<std::vector<int>, int>{{1}, 31},
+        std::pair<std::vector<int>, int>{{8, 7}, 17}}) {
+    cfg.pass_bits = pass_bits;
+    cfg.base_shift = base_shift;
+    auto parted = RadixPartition(&device_, Upload(rel), cfg);
+    ASSERT_TRUE(parted.ok()) << parted.status();
+    EXPECT_EQ(parted->chains.TotalElements(), rel.size());
+  }
+}
+
+TEST_F(RadixPartitionTest, PartitionInputSizeAndMaxKeyForEveryKind) {
+  const data::Relation rel = data::MakeUniformProbe(3000, 700, 5);
+  const uint32_t max_key = *std::max_element(rel.keys.begin(), rel.keys.end());
+  const DeviceRelation dev = Upload(rel);
+  ChunkedDeviceInput chunks;
+  chunks.AddBorrowed(rel.keys, rel.payloads);
+  const PartitionInput inputs[] = {
+      PartitionInput(dev), PartitionInput::Consume(Upload(rel)),
+      PartitionInput::Chunked(std::move(chunks)),
+      PartitionInput::FromHost(rel, 3)};
+  for (const PartitionInput& input : inputs) {
+    EXPECT_EQ(input.size(), rel.size());
+    EXPECT_EQ(input.MaxKey(), max_key);
+  }
+  const data::Relation empty;
+  EXPECT_EQ(PartitionInput::FromHost(empty).MaxKey(), 0u);
 }
 
 TEST_F(RadixPartitionTest, AutoBucketCapacityBounds) {

@@ -424,8 +424,9 @@ TEST_F(StatInvarianceTest, ChunkedConsumingJoinMatchesContiguous) {
   for (const size_t chunk : {7000u, 100000u, 1000000u}) {
     SCOPED_TRACE("chunk " + std::to_string(chunk));
     sim::Device device{hw::HardwareSpec::Icde2019Testbed()};
-    auto st = gpujoin::PartitionedJoinChunkedConsuming(
-        &device, chunked(r_, chunk), chunked(s_, chunk), cfg);
+    auto st = gpujoin::PartitionedJoin(
+        &device, gpujoin::PartitionInput::Chunked(chunked(r_, chunk)),
+        gpujoin::PartitionInput::Chunked(chunked(s_, chunk)), cfg);
     ASSERT_TRUE(st.ok()) << st.status();
     EXPECT_DOUBLE_EQ(st->seconds, ref_st->seconds);
     EXPECT_DOUBLE_EQ(st->partition_s, ref_st->partition_s);
