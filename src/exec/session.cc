@@ -1282,19 +1282,28 @@ util::Status Session::ExecuteAttempt(int index, api::Strategy strategy,
             *fresh, cpu::CpuRadixPartition(rel, co_cfg.cpu, cpu_model));
         return fresh;
       };
+      // Host spans per phase; their names must not start with the
+      // per-query "execute:q" prefix, which consumers sum per query.
+      const std::string span_suffix = ":q" + std::to_string(index);
       const std::string build_parts_key = HostPartsKey(build, co_cfg.cpu);
       const std::string probe_parts_key = HostPartsKey(probe, co_cfg.cpu);
       cpu::HostPartitions fresh_build, fresh_probe;
-      GJOIN_ASSIGN_OR_RETURN(
-          const cpu::HostPartitions* build_parts,
-          host_parts(build, build_parts_key, &fresh_build));
-      GJOIN_ASSIGN_OR_RETURN(
-          const cpu::HostPartitions* probe_parts,
-          host_parts(probe, probe_parts_key, &fresh_probe));
-      GJOIN_ASSIGN_OR_RETURN(
-          outofgpu::CoProcessPlan plan,
-          outofgpu::PlanCoProcessJoin(dev, *build_parts, *probe_parts,
-                                      co_cfg));
+      const cpu::HostPartitions* build_parts = nullptr;
+      const cpu::HostPartitions* probe_parts = nullptr;
+      {
+        obs::ProfileSpan span(config_.profiler,
+                              "coprocess:cpu_partition" + span_suffix);
+        GJOIN_ASSIGN_OR_RETURN(
+            build_parts, host_parts(build, build_parts_key, &fresh_build));
+        GJOIN_ASSIGN_OR_RETURN(
+            probe_parts, host_parts(probe, probe_parts_key, &fresh_probe));
+      }
+      auto planned = [&] {
+        obs::ProfileSpan span(config_.profiler, "coprocess:plan" + span_suffix);
+        return outofgpu::PlanCoProcessJoin(dev, *build_parts, *probe_parts,
+                                           co_cfg);
+      }();
+      GJOIN_ASSIGN_OR_RETURN(outofgpu::CoProcessPlan plan, std::move(planned));
       if (build_parts == &fresh_build) {
         host_parts_.emplace(build_parts_key, std::move(fresh_build));
       }
@@ -1302,6 +1311,8 @@ util::Status Session::ExecuteAttempt(int index, api::Strategy strategy,
         host_parts_.emplace(probe_parts_key, std::move(fresh_probe));
       }
 
+      obs::ProfileSpan execute_span(config_.profiler,
+                                    "coprocess:execute" + span_suffix);
       GJOIN_ASSIGN_OR_RETURN(
           outofgpu::CoProcessRun run,
           outofgpu::CoProcessExecutePlanned(dev, plan, co_cfg));

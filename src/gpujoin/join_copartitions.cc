@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "src/util/bits.h"
+#include "src/util/flat_table.h"
 #include "src/util/probe_pipeline.h"
 #include "src/util/thread_pool.h"
 
@@ -184,10 +185,12 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
   std::vector<int32_t> s_buckets_flat;
   std::vector<WorkItem> items;
   std::vector<uint64_t> r_sizes(num_partitions);
+  std::vector<uint32_t> s_begin(num_partitions + 1);
   std::vector<uint32_t> items_per_partition(num_partitions, 0);
   for (uint32_t p = 0; p < num_partitions; ++p) {
     r_sizes[p] = build.chains.PartitionSize(p);
     const uint32_t begin = static_cast<uint32_t>(s_buckets_flat.size());
+    s_begin[p] = begin;
     for (int32_t b = probe.chains.heads()[p]; b != BucketChains::kNull;
          b = probe.chains.next()[b]) {
       s_buckets_flat.push_back(b);
@@ -202,6 +205,7 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
       ++items_per_partition[p];
     }
   }
+  s_begin[num_partitions] = static_cast<uint32_t>(s_buckets_flat.size());
 
   const int num_blocks =
       config.num_blocks != 0
@@ -214,96 +218,166 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
   const uint32_t r_cap = build.chains.bucket_capacity();
   const uint32_t s_cap = probe.chains.bucket_capacity();
 
-  // ---- Host-side chunk memoization ----
+  // ---- Host-side partition memoization ----
   // Work items slice a partition's S chain, so a partition with k items
-  // re-loads its R chunk and rebuilds the chunk's table k times. The
+  // re-loads its R chunks and rebuilds each chunk's table k times. The
   // simulated kernel genuinely re-executes that work per item — its
   // charges below stay exactly where they were — but the functional
-  // result is identical every time. For partitions probed by several
-  // items whose R side fits a single chunk (oversized skewed partitions
-  // keep the per-item path), gather the chunk and build its probe index
-  // once up front; the per-item loops then only charge the
-  // re-load/rebuild. Single-item partitions skip the memo — there is no
-  // duplicated work to save, only allocation overhead to pay. Insertion
-  // order matches the per-chunk builds bit for bit, so chain structure
-  // — and with it step counts and match emission order — is unchanged.
-  struct PrebuiltChunk {
+  // result is identical every time, so partitions probed by several
+  // items build what their probes need once, up front, and the per-item
+  // loops then only charge the re-load/rebuild. Single-item partitions
+  // skip the memo: there is no duplicated work to save, only allocation
+  // overhead to pay.
+  //
+  // Aggregate-mode shared-hash partitions, of any chunk count, go
+  // further: their probes are resolved once, up front, per S bucket. A
+  // chunk's chain walk visits every entry of the probed slot (no early
+  // exit, fresh table per chunk), so its step count is the number of the
+  // chunk's R tuples in that slot, read from a per-(chunk, slot) length
+  // table. Matches and checksum are sums mod 2^64, so one key aggregate
+  // over the whole partition scores a bucket's matches in every chunk at
+  // once; the items then charge each (chunk, bucket) from the stored
+  // step count and add the bucket's matches at its first chunk. A probe
+  // tuple costs the host O(1 + chunks) whatever its chain length, and
+  // the length table and aggregate are per-worker scratch, so the memo
+  // keeps only a few words per (S bucket, chunk).
+  //
+  // Every other memoized partition fits a single chunk (oversized skewed
+  // partitions keep the per-item path) and holds the gathered chunk and
+  // its probe index. Insertion order matches the per-chunk builds bit
+  // for bit, so chain structure — and with it step counts and match
+  // emission order — is unchanged.
+  const bool agg_shared_hash = config.algo == ProbeAlgorithm::kSharedHash &&
+                               config.output == OutputMode::kAggregate;
+  struct PartitionMemo {
     std::vector<uint32_t> keys, pays;
-    std::vector<uint16_t> heads16, next16;        // kSharedHash
+    std::vector<uint16_t> heads16, next16;        // kSharedHash materialize
     std::vector<int32_t> dheads;                  // kDeviceHash
     std::vector<util::PackedHashNode> nodes;      // kDeviceHash
     std::vector<int32_t> nl_heads, nl_next;       // kNestedLoop aggregate
+    // kSharedHash aggregate, per S bucket of the partition (flattened
+    // order): chain steps in each chunk, [bucket * chunks + chunk], and
+    // the bucket's matches and checksum over all chunks.
+    uint64_t chunks = 0;
+    std::vector<uint64_t> steps;
+    std::vector<uint64_t> matches, checksums;
   };
-  std::vector<PrebuiltChunk> prebuilt(num_partitions);
-  std::vector<char> has_prebuilt(num_partitions, 0);
-  {
-    std::vector<uint32_t> wanted;
-    std::vector<char> seen(num_partitions, 0);
-    for (const WorkItem& item : items) {
-      if (!seen[item.p] && items_per_partition[item.p] >= 2) {
-        seen[item.p] = 1;
-        wanted.push_back(item.p);
-      }
-    }
-    device->pool()->ParallelForRanges(
-        wanted.size(), [&](size_t /*worker*/, size_t lo, size_t hi) {
-          for (size_t j = lo; j < hi; ++j) {
-            const uint32_t p = wanted[j];
-            const uint64_t r_total = r_sizes[p];
-            const uint64_t max_chunk =
-                config.algo == ProbeAlgorithm::kDeviceHash
-                    ? UINT32_MAX
-                    : config.shared_elems;
-            if (r_total == 0 || r_total > max_chunk) continue;
-            PrebuiltChunk& pre = prebuilt[p];
-            const uint32_t r_count = static_cast<uint32_t>(r_total);
-            pre.keys.resize(r_count);
-            pre.pays.resize(r_count);
-            uint32_t filled = 0;
+  // Memos exist only for the wanted partitions; `memo_of` maps a
+  // partition to its built memo (-1: none).
+  std::vector<uint32_t> wanted;
+  for (uint32_t p = 0; p < num_partitions; ++p) {
+    if (items_per_partition[p] >= 2) wanted.push_back(p);
+  }
+  std::vector<PartitionMemo> memos(wanted.size());
+  std::vector<int32_t> memo_of(num_partitions, -1);
+  device->pool()->ParallelForRanges(
+      wanted.size(), [&](size_t /*worker*/, size_t lo, size_t hi) {
+        std::vector<uint16_t> slot_len;  // [chunk * hash_slots + slot]
+        for (size_t j = lo; j < hi; ++j) {
+          const uint32_t p = wanted[j];
+          const uint64_t r_total = r_sizes[p];
+          PartitionMemo& pre = memos[j];
+          if (agg_shared_hash) {
+            const uint64_t chunks = CeilDiv(r_total, config.shared_elems);
+            slot_len.assign(chunks * config.hash_slots, 0);
+            // Sized for one chunk; folding bucket by bucket grows it
+            // with the distinct keys, so a skewed partition of a few
+            // hot keys keeps a small table.
+            util::FlatAggTable agg(
+                std::min<uint64_t>(r_total, config.shared_elems));
+            uint64_t pos = 0;
             for (int32_t b = build.chains.heads()[p];
                  b != BucketChains::kNull; b = build.chains.next()[b]) {
               const uint32_t fill = build.chains.fill()[b];
               const size_t base = static_cast<size_t>(b) * r_cap;
-              std::copy_n(build.chains.keys() + base, fill,
-                          pre.keys.data() + filled);
-              std::copy_n(build.chains.payloads() + base, fill,
-                          pre.pays.data() + filled);
-              filled += fill;
-            }
-            if (config.algo == ProbeAlgorithm::kSharedHash) {
-              pre.heads16.assign(config.hash_slots, kEmpty16);
-              pre.next16.resize(r_count);
-              for (uint32_t i = 0; i < r_count; ++i) {
-                const uint32_t slot = util::HashTableSlot(
-                    pre.keys[i], radix_bits, config.hash_slots);
-                pre.next16[i] = pre.heads16[slot];
-                pre.heads16[slot] = static_cast<uint16_t>(i);
-              }
-            } else if (config.algo == ProbeAlgorithm::kDeviceHash) {
-              pre.dheads.assign(config.hash_slots, -1);
-              pre.nodes.resize(r_count);
-              for (uint32_t i = 0; i < r_count; ++i) {
-                const uint32_t slot = util::HashTableSlot(
-                    pre.keys[i], radix_bits, config.hash_slots);
-                pre.nodes[i] = {pre.keys[i], pre.pays[i], pre.dheads[slot],
-                                0};
-                pre.dheads[slot] = static_cast<int32_t>(i);
-              }
-            } else if (config.output != OutputMode::kMaterialize) {
-              const size_t slots = util::NextPowerOfTwo(
-                  std::max<uint32_t>(2 * r_count, 8));
-              pre.nl_heads.assign(slots, -1);
-              pre.nl_next.assign(r_count, -1);
-              for (uint32_t i = 0; i < r_count; ++i) {
-                const uint32_t slot = util::Mix32(pre.keys[i]) & (slots - 1);
-                pre.nl_next[i] = pre.nl_heads[slot];
-                pre.nl_heads[slot] = static_cast<int32_t>(i);
+              const uint32_t* keys = build.chains.keys() + base;
+              agg.AddAll(keys, build.chains.payloads() + base, fill,
+                         pipeline_depth);
+              for (uint32_t i = 0; i < fill; ++i, ++pos) {
+                ++slot_len[pos / config.shared_elems * config.hash_slots +
+                           util::HashTableSlot(keys[i], radix_bits,
+                                               config.hash_slots)];
               }
             }
-            has_prebuilt[p] = 1;
+            const uint32_t buckets = s_begin[p + 1] - s_begin[p];
+            pre.chunks = chunks;
+            pre.steps.assign(static_cast<size_t>(buckets) * chunks, 0);
+            pre.matches.assign(buckets, 0);
+            pre.checksums.assign(buckets, 0);
+            for (uint32_t sb = 0; sb < buckets; ++sb) {
+              const int32_t b = s_buckets_flat[s_begin[p] + sb];
+              const size_t s_base = static_cast<size_t>(b) * s_cap;
+              const uint32_t* skeys = probe.chains.keys() + s_base;
+              const uint32_t s_fill = probe.chains.fill()[b];
+              uint64_t* steps = pre.steps.data() + sb * chunks;
+              for (uint32_t i = 0; i < s_fill; ++i) {
+                const uint16_t* len =
+                    slot_len.data() + util::HashTableSlot(
+                                          skeys[i], radix_bits,
+                                          config.hash_slots);
+                for (uint64_t c = 0; c < chunks; ++c) {
+                  steps[c] += len[c * config.hash_slots];
+                }
+              }
+              agg.ProbeAll(skeys, probe.chains.payloads() + s_base, s_fill,
+                           &pre.matches[sb], &pre.checksums[sb],
+                           pipeline_depth);
+            }
+            memo_of[p] = static_cast<int32_t>(j);
+            continue;
           }
-        });
-  }
+          const uint64_t max_chunk =
+              config.algo == ProbeAlgorithm::kDeviceHash
+                  ? UINT32_MAX
+                  : config.shared_elems;
+          if (r_total == 0 || r_total > max_chunk) continue;
+          const uint32_t r_count = static_cast<uint32_t>(r_total);
+          pre.keys.resize(r_count);
+          pre.pays.resize(r_count);
+          uint32_t filled = 0;
+          for (int32_t b = build.chains.heads()[p];
+               b != BucketChains::kNull; b = build.chains.next()[b]) {
+            const uint32_t fill = build.chains.fill()[b];
+            const size_t base = static_cast<size_t>(b) * r_cap;
+            std::copy_n(build.chains.keys() + base, fill,
+                        pre.keys.data() + filled);
+            std::copy_n(build.chains.payloads() + base, fill,
+                        pre.pays.data() + filled);
+            filled += fill;
+          }
+          if (config.algo == ProbeAlgorithm::kSharedHash) {
+            pre.heads16.assign(config.hash_slots, kEmpty16);
+            pre.next16.resize(r_count);
+            for (uint32_t i = 0; i < r_count; ++i) {
+              const uint32_t slot = util::HashTableSlot(
+                  pre.keys[i], radix_bits, config.hash_slots);
+              pre.next16[i] = pre.heads16[slot];
+              pre.heads16[slot] = static_cast<uint16_t>(i);
+            }
+          } else if (config.algo == ProbeAlgorithm::kDeviceHash) {
+            pre.dheads.assign(config.hash_slots, -1);
+            pre.nodes.resize(r_count);
+            for (uint32_t i = 0; i < r_count; ++i) {
+              const uint32_t slot = util::HashTableSlot(
+                  pre.keys[i], radix_bits, config.hash_slots);
+              pre.nodes[i] = {pre.keys[i], pre.pays[i], pre.dheads[slot],
+                              0};
+              pre.dheads[slot] = static_cast<int32_t>(i);
+            }
+          } else if (config.output != OutputMode::kMaterialize) {
+            const size_t slots = util::NextPowerOfTwo(
+                std::max<uint32_t>(2 * r_count, 8));
+            pre.nl_heads.assign(slots, -1);
+            pre.nl_next.assign(r_count, -1);
+            for (uint32_t i = 0; i < r_count; ++i) {
+              const uint32_t slot = util::Mix32(pre.keys[i]) & (slots - 1);
+              pre.nl_next[i] = pre.nl_heads[slot];
+              pre.nl_heads[slot] = static_cast<int32_t>(i);
+            }
+          }
+          memo_of[p] = static_cast<int32_t>(j);
+        }
+      });
 
   sim::LaunchConfig launch;
   launch.name = need_table ? "join_copartitions_hash" : "join_copartitions_nl";
@@ -401,13 +475,14 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
             r_buckets.push_back(b);
           }
 
-          // Memoized single-chunk partitions skip the duplicated host
-          // gather/build below; every charge still runs per item.
-          const PrebuiltChunk* pre =
-              has_prebuilt[item.p] ? &prebuilt[item.p] : nullptr;
+          // Memoized partitions skip the duplicated host gather/build
+          // below; every charge still runs per item.
+          const PartitionMemo* pre =
+              memo_of[item.p] >= 0 ? &memos[memo_of[item.p]] : nullptr;
+          const bool probes_resolved = agg_shared_hash && pre != nullptr;
 
           uint64_t r_done = 0;
-          while (r_done < r_total) {
+          for (uint64_t chunk = 0; r_done < r_total; ++chunk) {
             const uint32_t r_count = static_cast<uint32_t>(
                 std::min<uint64_t>(chunk_elems, r_total - r_done));
 
@@ -534,7 +609,7 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
             // ---- Probe the item's S bucket slice ----
             for (uint32_t sb = 0; sb < item.s_count; ++sb) {
               const int32_t b = s_buckets_flat[item.s_from + sb];
-              if (sb + 1 < item.s_count) {
+              if (sb + 1 < item.s_count && !probes_resolved) {
                 util::PrefetchRead(
                     probe.chains.keys() +
                     static_cast<size_t>(s_buckets_flat[item.s_from + sb + 1]) *
@@ -617,41 +692,55 @@ util::Result<CoPartitionJoinResult> JoinCoPartitions(
                   }
                 }
               } else if (config.algo == ProbeAlgorithm::kSharedHash) {
-                // Shared-memory hash probe. The host copy of the chunk
-                // table is cache-resident, but each probe is still a
-                // serial dependence chain (hash -> head -> node ->
-                // next); resolving a batch of heads before walking any
-                // chain overlaps those chains' L2 latencies and branch
-                // recovery (~1.25x measured even fully cached). Batches
-                // visit probes in order, so match emission is identical
-                // at every depth.
-                const uint16_t* h16 =
-                    pre != nullptr ? pre->heads16.data() : area.heads;
-                const uint16_t* n16 =
-                    pre != nullptr ? pre->next16.data() : area.next;
-                const bool epoch_gated = pre == nullptr;
-                const uint32_t* skeys = probe.chains.keys() + s_base;
-                const uint32_t* spays = probe.chains.payloads() + s_base;
                 uint64_t steps = 0;
-                util::GroupProbe<uint16_t>(
-                    s_fill, pipeline_depth,
-                    [&](size_t i, uint16_t& e) {
-                      const uint32_t slot = util::HashTableSlot(
-                          skeys[i], radix_bits, config.hash_slots);
-                      e = !epoch_gated || table_epoch[slot] == cur_epoch
-                              ? h16[slot]
-                              : kEmpty16;
-                    },
-                    [&](size_t i, uint16_t& head) {
-                      const uint32_t skey = skeys[i];
-                      for (uint16_t e = head; e != kEmpty16; e = n16[e]) {
-                        ++steps;
-                        if (rkeys[e] == skey) {
-                          state.Match(&block, config, &area, rpays[e],
-                                      spays[i]);
+                if (probes_resolved) {
+                  // Resolved up front (see the memo): this bucket's
+                  // steps in this chunk, and all of its matches at the
+                  // first chunk (ChargeGathers is linear in matches, so
+                  // charging them there is the same sum).
+                  const size_t bucket = item.s_from + sb - s_begin[item.p];
+                  steps = pre->steps[bucket * pre->chunks + chunk];
+                  if (chunk == 0) {
+                    state.matches += pre->matches[bucket];
+                    state.checksum += pre->checksums[bucket];
+                  }
+                } else {
+                  // Shared-memory hash probe. The host copy of the chunk
+                  // table is cache-resident, but each probe is still a
+                  // serial dependence chain (hash -> head -> node ->
+                  // next); resolving a batch of heads before walking any
+                  // chain overlaps those chains' L2 latencies and branch
+                  // recovery (~1.25x measured even fully cached).
+                  // Batches visit probes in order, so match emission is
+                  // identical at every depth.
+                  const uint16_t* h16 =
+                      pre != nullptr ? pre->heads16.data() : area.heads;
+                  const uint16_t* n16 =
+                      pre != nullptr ? pre->next16.data() : area.next;
+                  const bool epoch_gated = pre == nullptr;
+                  const uint32_t* skeys = probe.chains.keys() + s_base;
+                  const uint32_t* spays = probe.chains.payloads() + s_base;
+                  util::GroupProbe<uint16_t>(
+                      s_fill, pipeline_depth,
+                      [&](size_t i, uint16_t& e) {
+                        const uint32_t slot = util::HashTableSlot(
+                            skeys[i], radix_bits, config.hash_slots);
+                        e = !epoch_gated || table_epoch[slot] == cur_epoch
+                                ? h16[slot]
+                                : kEmpty16;
+                      },
+                      [&](size_t i, uint16_t& head) {
+                        const uint32_t skey = skeys[i];
+                        for (uint16_t e = head; e != kEmpty16;
+                             e = n16[e]) {
+                          ++steps;
+                          if (rkeys[e] == skey) {
+                            state.Match(&block, config, &area, rpays[e],
+                                        spays[i]);
+                          }
                         }
-                      }
-                    });
+                      });
+                }
                 // Slot read (2B) per probe + (key, next) per chain step.
                 block.ChargeShared(2ull * s_fill + 6ull * steps);
                 block.ChargeCycles((s_fill * 2 + steps * 3) / 32 + 1);

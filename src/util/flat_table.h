@@ -9,6 +9,7 @@
 #ifndef GJOIN_UTIL_FLAT_TABLE_H_
 #define GJOIN_UTIL_FLAT_TABLE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -35,9 +36,16 @@ class FlatAggTable {
     entries_.assign(cap, Entry{});
   }
 
-  /// Folds `n` build tuples into the aggregate.
+  /// Distinct keys folded so far.
+  size_t size() const { return size_; }
+
+  /// Folds `n` build tuples into the aggregate, first growing the table
+  /// if `n` new keys could push it past ~50% load. Folding a relation in
+  /// batches therefore sizes the table by its distinct keys, not its
+  /// tuples.
   void AddAll(const uint32_t* keys, const uint32_t* pays, size_t n,
               int pipeline_depth = 0) {
+    Reserve(size_ + n);
     GroupProbe<size_t>(
         n, ResolveProbePipelineDepth(pipeline_depth),
         [&](size_t i, size_t& slot) {
@@ -49,6 +57,7 @@ class FlatAggTable {
             slot = (slot + 1) & mask_;
           }
           Entry& e = entries_[slot];
+          size_ += e.count == 0;
           e.key = keys[i];
           ++e.count;
           e.sum += pays[i];
@@ -89,7 +98,24 @@ class FlatAggTable {
     uint64_t sum = 0;
   };
 
+  /// Rehashes into a larger table if `keys` distinct keys would exceed
+  /// ~50% load. Contents, and so every probe's result, are unchanged.
+  void Reserve(size_t keys) {
+    const size_t cap = NextPowerOfTwo(std::max<size_t>(2 * keys, 16));
+    if (cap <= entries_.size()) return;
+    std::vector<Entry> old(cap);
+    old.swap(entries_);
+    mask_ = cap - 1;
+    for (const Entry& e : old) {
+      if (e.count == 0) continue;
+      size_t slot = Mix32(e.key) & mask_;
+      while (entries_[slot].count != 0) slot = (slot + 1) & mask_;
+      entries_[slot] = e;
+    }
+  }
+
   size_t mask_;
+  size_t size_ = 0;
   std::vector<Entry> entries_;
 };
 

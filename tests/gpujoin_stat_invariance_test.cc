@@ -548,5 +548,139 @@ TEST_F(StatInvarianceTest, StreamingProbeMaterialize) {
   EXPECT_DOUBLE_EQ(st->transfer_s, 0.00041520325203252029);
 }
 
+// ---- Multi-chunk aggregate shared-hash probe ----
+// Partitions larger than shared_elems are joined in several R chunks,
+// each probed by every S tuple of the work item, and a partition with
+// several work items repeats all of it per item. The goldens below were
+// captured from the chain-walking probe: every partition here spans 2-11
+// chunks and is probed by 20-41 items. The host's pool width must not
+// move a number either.
+
+constexpr size_t kPoolWidths[] = {1, 8};
+
+/// Runs an in-GPU join on a `threads`-wide pool and checks it against
+/// the golden results and launch profile.
+void ExpectInGpuGolden(const data::Relation& r, const data::Relation& s,
+                       const gpujoin::PartitionedJoinConfig& cfg,
+                       uint64_t matches, uint64_t payload_sum,
+                       double seconds, double partition_s, double join_s,
+                       const std::vector<GoldenLaunch>& golden) {
+  for (const size_t threads : kPoolWidths) {
+    SCOPED_TRACE("pool threads " + std::to_string(threads));
+    util::ThreadPool pool(threads);
+    sim::Device device{hw::HardwareSpec::Icde2019Testbed(), &pool};
+    auto st = gpujoin::PartitionedJoinFromHost(&device, r, s, cfg);
+    ASSERT_TRUE(st.ok()) << st.status();
+    EXPECT_EQ(st->matches, matches);
+    EXPECT_EQ(st->payload_sum, payload_sum);
+    EXPECT_DOUBLE_EQ(st->seconds, seconds);
+    EXPECT_DOUBLE_EQ(st->partition_s, partition_s);
+    EXPECT_DOUBLE_EQ(st->join_s, join_s);
+    ExpectProfileMatches(device, golden);
+  }
+}
+
+TEST_F(StatInvarianceTest, MultiChunkSharedHashAggregate) {
+  // 32 partitions of ~3125 R tuples: 7 chunks of 512.
+  gpujoin::PartitionedJoinConfig cfg;
+  cfg.partition.pass_bits = {5};
+  cfg.join.shared_elems = 512;
+  cfg.join.hash_slots = 512;
+  cfg.join.max_probe_buckets_per_item = 2;
+  ExpectInGpuGolden(
+      r_, s_, cfg, 200000u, 30006356267ull, 0.00020146592008521869,
+      3.718509638009049e-05, 0.00016428082370512819,
+      {{"radix_partition_pass1", 800000, 0, 800000, 0, 0, 1625600, 100000,
+        2560, 197600, 4940, 40, 1.4170498793363497e-05},
+       {"radix_partition_pass1", 1600000, 0, 1600000, 0, 0, 3225600, 200000,
+        2560, 395120, 9878, 40, 2.3014597586726997e-05},
+       {"join_copartitions_hash", 27207680, 0, 0, 124660, 1600000, 43869822,
+        2000000, 640, 1018733, 25591, 40, 0.00016428082370512819}});
+}
+
+TEST_F(StatInvarianceTest, MultiChunkSharedHashAggregateZipfGathers) {
+  // Zipf build: the hottest keys repeat thousands of times, so one probe
+  // tuple matches R tuples in several chunks, and every match charges
+  // the late-materialization gathers of both sides.
+  const data::Relation r = data::MakeZipf(60000, 20000, 1.0, 31);
+  const data::Relation s = data::MakeUniformProbe(100000, 20000, 32);
+  const data::OracleResult oracle = data::JoinOracle(r, s);
+  ASSERT_EQ(oracle.matches, 288543u);
+  ASSERT_EQ(oracle.payload_sum, 22765406973ull);
+  gpujoin::PartitionedJoinConfig cfg;
+  cfg.partition.pass_bits = {4};
+  cfg.join.shared_elems = 1024;
+  cfg.join.hash_slots = 1024;
+  cfg.join.max_probe_buckets_per_item = 1;
+  cfg.join.build_extra_payload_bytes = 24;
+  cfg.join.probe_extra_payload_bytes = 40;
+  ExpectInGpuGolden(
+      r, s, cfg, oracle.matches, oracle.payload_sum, 0.00031158641465166428,
+      2.4490333069381596e-05, 0.00028709608158228268,
+      {{"radix_partition_pass1", 480000, 0, 480000, 0, 0, 972800, 60000,
+        1387, 118560, 2964, 40, 1.0483034276018097e-05},
+       {"radix_partition_pass1", 800000, 0, 800000, 0, 0, 1612800, 100000,
+        1280, 197560, 4939, 40, 1.4007298793363498e-05},
+       {"join_copartitions_hash", 22606784, 0, 0, 1831138, 4000000, 43566060,
+        2400000, 640, 844794, 22145, 40, 0.00028709608158228268}});
+}
+
+TEST_F(StatInvarianceTest, MultiChunkCoProcessWorkingSets) {
+  // A quarter of the build per working set packs four CPU partitions
+  // into each; their GPU partitions (base_shift 4) span 2-5 chunks.
+  struct GoldenRun {
+    uint64_t matches;
+    uint64_t payload_sum;
+    double gpu_seconds;
+    double join_s;
+    double partition_s;
+    uint64_t transfer_bytes;
+    size_t set_index;
+  };
+  const std::vector<GoldenRun> golden = {
+      {49912, 7485392325ull, 9.7882703159879331e-05, 8.0603986871794869e-05,
+       1.7278716288084462e-05, 599296, 0},
+      {50103, 7519793198ull, 9.7928377568061832e-05, 8.063314405128205e-05,
+       1.7295233516779789e-05, 600824, 1},
+      {50057, 7505382719ull, 9.7970683423642519e-05, 8.0679268192307681e-05,
+       1.7291415231334838e-05, 600456, 2},
+      {49928, 7495788025ull, 9.7882101997737549e-05, 8.0601970653846155e-05,
+       1.7280131343891401e-05, 599424, 3}};
+  for (const size_t threads : kPoolWidths) {
+    SCOPED_TRACE("pool threads " + std::to_string(threads));
+    util::ThreadPool pool(threads);
+    sim::Device device{hw::HardwareSpec::Icde2019Testbed(), &pool};
+    const hw::CpuCostModel cpu_model(device.spec().cpu);
+    outofgpu::CoProcessConfig cfg;
+    cfg.join.partition.pass_bits = {5};
+    cfg.join.join.shared_elems = 256;
+    cfg.join.join.hash_slots = 256;
+    cfg.join.join.max_probe_buckets_per_item = 1;
+    cfg.join.join.probe_extra_payload_bytes = 16;
+    cfg.packing.budget_bytes = r_.bytes() / 4;
+    auto r_parts = cpu::CpuRadixPartition(r_, cfg.cpu, cpu_model);
+    auto s_parts = cpu::CpuRadixPartition(s_, cfg.cpu, cpu_model);
+    ASSERT_TRUE(r_parts.ok() && s_parts.ok());
+    auto plan = outofgpu::PlanCoProcessJoin(&device, *r_parts, *s_parts, cfg);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    ASSERT_EQ(plan->runs.size(), golden.size());
+    uint64_t matches = 0;
+    for (size_t i = 0; i < golden.size(); ++i) {
+      SCOPED_TRACE("working set run " + std::to_string(i));
+      const auto& run = plan->runs[i];
+      const GoldenRun& g = golden[i];
+      EXPECT_EQ(run.matches, g.matches);
+      EXPECT_EQ(run.payload_sum, g.payload_sum);
+      EXPECT_DOUBLE_EQ(run.gpu_seconds, g.gpu_seconds);
+      EXPECT_DOUBLE_EQ(run.join_s, g.join_s);
+      EXPECT_DOUBLE_EQ(run.partition_s, g.partition_s);
+      EXPECT_EQ(run.transfer_bytes, g.transfer_bytes);
+      EXPECT_EQ(run.set_index, g.set_index);
+      matches += run.matches;
+    }
+    EXPECT_EQ(matches, s_.size());
+  }
+}
+
 }  // namespace
 }  // namespace gjoin

@@ -52,14 +52,64 @@ class ObsSessionTest : public ::testing::Test {
         s_(data::MakeUniformProbe(200000, 100000, 22)),
         s2_(data::MakeUniformProbe(200000, 100000, 23)) {}
 
-  /// Submits the 2-query shared-build batch to `session` and runs it.
-  void SubmitAndRun(Session* session) {
+  /// Submits the 2-query shared-build batch to `session` and runs it,
+  /// under `strategy` (kAuto picks in-GPU for these sizes).
+  void SubmitAndRun(Session* session,
+                    api::Strategy strategy = api::Strategy::kAuto) {
     api::JoinConfig cfg;
     cfg.pass_bits = {6, 5};
+    cfg.strategy = strategy;
     session->Submit(r_, s_, cfg);
     session->Submit(r_, s2_, cfg);
     const auto status = session->Run();
     ASSERT_TRUE(status.ok()) << status;
+  }
+
+  /// Runs the batch under `strategy` bare and fully observed, and
+  /// expects every charged number to be bit-identical. Hands back the
+  /// observed run's host spans when `spans` is non-null.
+  void ExpectChargeFree(api::Strategy strategy,
+                        std::vector<obs::HostProfiler::Span>* spans) {
+    sim::Device bare_device{hw::HardwareSpec::Icde2019Testbed()};
+    Session bare(&bare_device);
+    ASSERT_NO_FATAL_FAILURE(SubmitAndRun(&bare, strategy));
+
+    obs::MetricsRegistry registry;
+    obs::HostProfiler profiler;
+    sim::Device obs_device{hw::HardwareSpec::Icde2019Testbed()};
+    SessionConfig config;
+    config.metrics = &registry;
+    config.profiler = &profiler;
+    Session observed(&obs_device, config);
+    ASSERT_NO_FATAL_FAILURE(SubmitAndRun(&observed, strategy));
+    // Rendering the trace must not perturb anything either.
+    ASSERT_TRUE(observed.TraceJson().ok());
+
+    const api::Strategy expected_strategy =
+        strategy == api::Strategy::kAuto ? api::Strategy::kInGpu : strategy;
+    for (const exec::QueryHandle q : {0, 1}) {
+      SCOPED_TRACE("query " + std::to_string(q));
+      EXPECT_EQ(observed.result(q).outcome.strategy, expected_strategy);
+      ExpectStatsBitIdentical(observed.result(q).outcome.stats,
+                              bare.result(q).outcome.stats);
+      EXPECT_DOUBLE_EQ(observed.result(q).solo_seconds,
+                       bare.result(q).solo_seconds);
+      EXPECT_DOUBLE_EQ(observed.result(q).finish_s, bare.result(q).finish_s);
+    }
+    EXPECT_DOUBLE_EQ(observed.stats().makespan_s, bare.stats().makespan_s);
+    EXPECT_DOUBLE_EQ(observed.stats().speedup, bare.stats().speedup);
+    EXPECT_EQ(observed.stats().shared_build_hits,
+              bare.stats().shared_build_hits);
+    EXPECT_EQ(observed.stats().coprocess_part_hits,
+              bare.stats().coprocess_part_hits);
+    ASSERT_EQ(observed.stats().schedule.start_s.size(),
+              bare.stats().schedule.start_s.size());
+    for (size_t i = 0; i < bare.stats().schedule.start_s.size(); ++i) {
+      EXPECT_DOUBLE_EQ(observed.stats().schedule.start_s[i],
+                       bare.stats().schedule.start_s[i])
+          << "op " << i;
+    }
+    if (spans != nullptr) *spans = profiler.spans();
   }
 
   data::Relation r_;
@@ -68,39 +118,42 @@ class ObsSessionTest : public ::testing::Test {
 };
 
 TEST_F(ObsSessionTest, AttachingObservabilityIsChargeFree) {
-  sim::Device bare_device{hw::HardwareSpec::Icde2019Testbed()};
-  Session bare(&bare_device);
-  ASSERT_NO_FATAL_FAILURE(SubmitAndRun(&bare));
+  ExpectChargeFree(api::Strategy::kAuto, nullptr);
+}
 
-  obs::MetricsRegistry registry;
-  obs::HostProfiler profiler;
-  sim::Device obs_device{hw::HardwareSpec::Icde2019Testbed()};
-  SessionConfig config;
-  config.metrics = &registry;
-  config.profiler = &profiler;
-  Session observed(&obs_device, config);
-  ASSERT_NO_FATAL_FAILURE(SubmitAndRun(&observed));
-  // Rendering the trace must not perturb anything either.
-  ASSERT_TRUE(observed.TraceJson().ok());
-
-  for (const exec::QueryHandle q : {0, 1}) {
-    SCOPED_TRACE("query " + std::to_string(q));
-    ExpectStatsBitIdentical(observed.result(q).outcome.stats,
-                            bare.result(q).outcome.stats);
-    EXPECT_DOUBLE_EQ(observed.result(q).solo_seconds,
-                     bare.result(q).solo_seconds);
-    EXPECT_DOUBLE_EQ(observed.result(q).finish_s, bare.result(q).finish_s);
+TEST_F(ObsSessionTest, CoProcessingPhaseSpansAreChargeFree) {
+  std::vector<obs::HostProfiler::Span> spans;
+  ASSERT_NO_FATAL_FAILURE(
+      ExpectChargeFree(api::Strategy::kCoProcessing, &spans));
+  // Each query's CPU partitioning, plan and pipeline timing get their
+  // own span, nested in that query's execute span. None of them may
+  // carry the "execute:q" prefix that consumers sum per query.
+  size_t execute_spans = 0;
+  for (const obs::HostProfiler::Span& span : spans) {
+    execute_spans += span.name.rfind("execute:q", 0) == 0;
   }
-  EXPECT_DOUBLE_EQ(observed.stats().makespan_s, bare.stats().makespan_s);
-  EXPECT_DOUBLE_EQ(observed.stats().speedup, bare.stats().speedup);
-  EXPECT_EQ(observed.stats().shared_build_hits,
-            bare.stats().shared_build_hits);
-  ASSERT_EQ(observed.stats().schedule.start_s.size(),
-            bare.stats().schedule.start_s.size());
-  for (size_t i = 0; i < bare.stats().schedule.start_s.size(); ++i) {
-    EXPECT_DOUBLE_EQ(observed.stats().schedule.start_s[i],
-                     bare.stats().schedule.start_s[i])
-        << "op " << i;
+  EXPECT_EQ(execute_spans, 2u);
+  for (const int q : {0, 1}) {
+    SCOPED_TRACE("query " + std::to_string(q));
+    const std::string suffix = ":q" + std::to_string(q);
+    const obs::HostProfiler::Span* query_span = nullptr;
+    for (const obs::HostProfiler::Span& span : spans) {
+      if (span.name == "execute" + suffix) query_span = &span;
+    }
+    ASSERT_NE(query_span, nullptr);
+    for (const char* phase : {"coprocess:cpu_partition", "coprocess:plan",
+                              "coprocess:execute"}) {
+      SCOPED_TRACE(phase);
+      size_t found = 0;
+      for (const obs::HostProfiler::Span& span : spans) {
+        if (span.name != phase + suffix) continue;
+        ++found;
+        EXPECT_GE(span.start_s, query_span->start_s);
+        EXPECT_LE(span.start_s + span.duration_s,
+                  query_span->start_s + query_span->duration_s);
+      }
+      EXPECT_EQ(found, 1u);
+    }
   }
 }
 
